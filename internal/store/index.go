@@ -12,14 +12,20 @@
 //   - a SHA→block-set posting list.
 //
 // Get seeks straight to the few blocks that hold its sample instead
-// of gunzipping the whole month. Stores written before the sidecar
-// existed (or whose sidecar does not match the file) fall back
-// transparently to the full streaming scan; Reindex rebuilds sidecars
-// in place by re-walking the gzip members.
+// of gunzipping the whole month. The sidecar is a cache of what the
+// partition bytes already say: Open accepts it only when it covers the
+// file exactly and every entry carries a zone map, and otherwise
+// rebuilds the index from the gzip members (indexPartition) and marks
+// it dirty, so the next Flush/Sync/Close writes a fresh sidecar. Every
+// month on disk therefore has a complete in-memory partIndex for as
+// long as the store is open — no reader, planner, or committer has a
+// "month without an index" case. Reindex is the same rebuild run
+// unconditionally over every month.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -56,9 +62,11 @@ type blockMeta struct {
 	Ver int `json:"v,omitempty"`
 
 	// Zone map (sidecar v3, zonemap.go). Z == 1 marks the zone fields
-	// as present; entries from pre-zone sidecars carry Z == 0 and are
-	// never pruned on. All zone fields are omitempty so zero stats
-	// (and legacy entries) stay compact.
+	// as present. Every entry held in memory has it: loadSidecar turns
+	// away sidecars with pre-zone (Z == 0) entries and Open rebuilds
+	// them, so nothing downstream tests Z — the field stays only so
+	// sidecar bytes do not change. All zone fields are omitempty so
+	// zero stats stay compact.
 	Z    int    `json:"z,omitempty"`
 	TMin int64  `json:"t0,omitempty"`
 	TMax int64  `json:"t1,omitempty"`
@@ -68,13 +76,10 @@ type blockMeta struct {
 	LabB uint64 `json:"lb,omitempty"`
 }
 
-// Sidecar schema versions. The block-index sidecar was unversioned
-// before zone maps (implicitly v2, the PR-2 schema); v3 adds the
-// per-block zone fields and an explicit "ver" marker.
-const (
-	sidecarVerLegacy = 2
-	sidecarVerZones  = 3
-)
+// sidecarVerZones is the sidecar schema this build writes. The sidecar
+// was unversioned before zone maps (implicitly v2, the PR-2 schema);
+// v3 adds the per-block zone fields and an explicit "ver" marker.
+const sidecarVerZones = 3
 
 // sidecarFile is the on-disk JSON schema of scans-YYYY-MM.idx.
 type sidecarFile struct {
@@ -83,9 +88,9 @@ type sidecarFile struct {
 	FileSize int64 `json:"file_size"`
 	// Ver is the sidecar schema version: absent (0) for legacy
 	// pre-zone sidecars, sidecarVerZones for sidecars this build
-	// writes. Pruning never keys off Ver — each block's Z flag governs
-	// — so mixed sidecars (legacy blocks appended to by a zone-aware
-	// writer) stay exact.
+	// writes. Acceptance never keys off Ver — each block's Z flag
+	// governs — so a legacy sidecar a zone-aware writer appended to is
+	// judged by its entries.
 	Ver      int              `json:"ver,omitempty"`
 	Blocks   []blockMeta      `json:"blocks"`
 	Postings map[string][]int `json:"postings"`
@@ -99,7 +104,11 @@ type partIndex struct {
 	fileSize int64
 	blocks   []blockMeta
 	postings map[string][]int
-	dirty    bool // blocks appended since the sidecar was last written
+	dirty    bool // the sidecar on disk is missing, rejected, or behind the blocks
+
+	// sideMu serializes writeSidecar, so a Sync racing a Flush never
+	// has two writers sharing the sidecar's temp file.
+	sideMu sync.Mutex
 }
 
 func newPartIndex() *partIndex {
@@ -156,20 +165,6 @@ func (ix *partIndex) sampleSHAs() []string {
 	return out
 }
 
-// fullyZoned reports whether every block entry carries a zone map —
-// i.e. the sidecar is effectively version 3 and nothing remains for
-// ReindexWithStats to upgrade. Vacuously true for empty partitions.
-func (ix *partIndex) fullyZoned() bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, bm := range ix.blocks {
-		if bm.Z == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // snapshotBlocks copies the block list, in file order.
 func (ix *partIndex) snapshotBlocks() []blockMeta {
 	ix.mu.RLock()
@@ -193,14 +188,20 @@ func sidecarPath(dir, month string) string {
 	return filepath.Join(dir, "scans-"+month+".idx")
 }
 
-// writeSidecar persists the index if it has grown since the last
-// write. Postings are a map, which encoding/json serializes with
-// sorted keys, so sidecar bytes are deterministic — the concurrency
-// determinism harness hashes them along with the partitions.
+// writeSidecar persists the index if the sidecar on disk is behind it.
+// Postings are a map, which encoding/json serializes with sorted keys,
+// so sidecar bytes are deterministic — the concurrency determinism
+// harness hashes them along with the partitions. The file is replaced
+// by tmp+rename, so a crash mid-write leaves the previous sidecar (or
+// none), never torn JSON; dirty clears only once the rename succeeded
+// and no block arrived meanwhile, so a failed write is retried by the
+// next Flush/Sync.
 func (ix *partIndex) writeSidecar(dir, month string) error {
-	ix.mu.Lock()
+	ix.sideMu.Lock()
+	defer ix.sideMu.Unlock()
+	ix.mu.RLock()
 	if !ix.dirty {
-		ix.mu.Unlock()
+		ix.mu.RUnlock()
 		return nil
 	}
 	sf := sidecarFile{
@@ -212,26 +213,30 @@ func (ix *partIndex) writeSidecar(dir, month string) error {
 	for sha, ids := range ix.postings {
 		sf.Postings[sha] = append([]int(nil), ids...)
 	}
-	ix.dirty = false
-	ix.mu.Unlock()
+	ix.mu.RUnlock()
 	b, err := json.Marshal(sf)
 	if err != nil {
 		return fmt.Errorf("store: index sidecar: %w", err)
 	}
-	if err := os.WriteFile(sidecarPath(dir, month), b, 0o644); err != nil {
-		return fmt.Errorf("store: index sidecar: %w", err)
+	if err := atomicWriteFile(sidecarPath(dir, month), b); err != nil {
+		return err
 	}
+	ix.mu.Lock()
+	if len(ix.blocks) == len(sf.Blocks) {
+		ix.dirty = false
+	}
+	ix.mu.Unlock()
 	return nil
 }
 
 // loadSidecar reads a month's sidecar and validates it against the
-// partition's current size. Any mismatch, unreadable file, or
-// malformed JSON yields (nil, false, nil): the caller falls back to
-// the streaming scan exactly as if the sidecar never existed. A block
-// tagged with a format version newer than maxVer is different — the
-// data is intact but unreadable by this build, so the error is a
-// *FormatError, never a silent fallback that would then choke on the
-// member bytes.
+// partition's current size. Any mismatch, unreadable file, malformed
+// JSON, or entry without a zone map yields (nil, false, nil): the
+// caller rebuilds the index from the partition bytes exactly as if
+// the sidecar never existed. A block tagged with a format version
+// newer than maxVer is different — the data is intact but unreadable
+// by this build, so the error is a *FormatError, never a silent
+// rebuild that would then choke on the member bytes.
 func loadSidecar(dir, month string, partitionSize int64, maxVer int) (*partIndex, bool, error) {
 	b, err := os.ReadFile(sidecarPath(dir, month))
 	if err != nil {
@@ -243,17 +248,19 @@ func loadSidecar(dir, month string, partitionSize int64, maxVer int) (*partIndex
 	}
 	// A sidecar schema from the future is treated like a missing
 	// sidecar, not an error: the partition bytes are self-describing,
-	// so the streaming fallback stays correct (and a future *block*
-	// format inside still fails loudly via the payload sniff).
+	// so the rebuild stays correct (and a future *block* format inside
+	// still fails loudly via the payload sniff).
 	if sf.Ver > sidecarVerZones {
 		return nil, false, nil
 	}
 	if sf.FileSize != partitionSize {
 		return nil, false, nil
 	}
-	// Internal consistency: blocks must tile [0, FileSize) and every
-	// posting must point at a real block.
+	// Internal consistency: blocks must tile [0, FileSize), every block
+	// must carry a zone map, and every posting must point at a real
+	// block.
 	var off int64
+	zoned := true
 	for _, bm := range sf.Blocks {
 		if bm.Offset != off || bm.Len <= 0 {
 			return nil, false, nil
@@ -262,8 +269,9 @@ func loadSidecar(dir, month string, partitionSize int64, maxVer int) (*partIndex
 		if v := blockVer(bm); v > maxVer {
 			return nil, false, &FormatError{Path: sidecarPath(dir, month), Version: v, Max: maxVer}
 		}
+		zoned = zoned && bm.Z != 0
 	}
-	if off != sf.FileSize {
+	if off != sf.FileSize || !zoned {
 		return nil, false, nil
 	}
 	for _, ids := range sf.Postings {
@@ -307,108 +315,174 @@ func (c *countingByteReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// indexPartitionFile rebuilds a partition's block index by walking
-// its gzip members one at a time, sniffing each member's payload
-// format. Works on any valid partition — block-written files recover
-// their original block boundaries (and versions); pre-index files
-// yield one block per historical flush. A member in a format newer
-// than maxVer aborts with *FormatError.
-func indexPartitionFile(path string, maxVer int) (*partIndex, error) {
+// walkMembers is the one gzip-member iterator. It hands every member of
+// a partition file, in file order, to fn as the member's byte range
+// [start, end) plus its decompressed payload (a pooled buffer, valid
+// only during the call). goodEnd is the end of the last member fn
+// accepted; torn is what stopped the walk short of EOF — a gzip-level
+// failure (torn header, truncated or corrupt member) or fn's own error
+// — and is nil when the whole file walked. err is reserved for
+// failures that say nothing about the bytes (the file would not open).
+// A missing or empty file is zero members.
+func walkMembers(path string, fn func(start, end int64, payload []byte) error) (goodEnd int64, torn, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return newPartIndex(), nil
+			return 0, nil, nil
 		}
-		return nil, fmt.Errorf("store: %w", err)
+		return 0, nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	cr := &countingByteReader{r: bufio.NewReaderSize(f, 1<<20)}
-	ix := newPartIndex()
 	zr, err := gzip.NewReader(cr)
 	if err != nil {
 		if errors.Is(err, io.EOF) { // empty partition
-			return ix, nil
+			return 0, nil, nil
 		}
-		return nil, fmt.Errorf("store: %s: %w", path, err)
+		return 0, fmt.Errorf("store: %s: %w", path, err), nil
 	}
 	defer zr.Close()
 	var start int64
-	// mr buffers each member's decompressed bytes so the payload's
-	// leading bytes can be peeked before choosing a decoder.
-	mr := bufio.NewReaderSize(nil, 32<<10)
 	for {
 		zr.Multistream(false)
-		mr.Reset(zr)
-		head, _ := mr.Peek(len(colMagic) + 1)
-		var (
-			rows int
-			raw  int64
-			ver  = sniffVersion(head)
-			shas = make(map[string]int)
-			zone blockZone
-		)
-		switch {
-		case ver == FormatV1:
-			sc := bufio.NewScanner(mr)
-			sbuf := bufpool.GetScanBuf()
-			sc.Buffer(sbuf, 16<<20)
-			var row scanRow
-			var acc zoneAcc
-			for sc.Scan() {
-				// Full decode (not just the hash): Reindex is the repair
-				// path, so malformed rows must keep surfacing as errors.
-				if err := decodeScanRow(sc.Bytes(), &row); err != nil {
-					bufpool.PutScanBuf(sbuf)
-					return nil, fmt.Errorf("store: %s: %w", path, err)
-				}
-				rows++
-				raw += int64(len(sc.Bytes()))
-				shas[row.SHA]++
-				acc.row(&row)
-			}
-			err := sc.Err()
-			bufpool.PutScanBuf(sbuf)
-			if err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-			zone = acc.z
-		case ver <= maxVer:
-			payload, err := io.ReadAll(mr)
-			if err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-			cb, err := parseColumnarBlock(payload, wantSHA|wantFT|wantEng|wantLab)
-			if err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-			rows, raw = cb.rows, cb.raw
-			for _, sha := range cb.sha {
-				shas[sha]++
-			}
-			if zone, err = zoneOfColBlock(cb); err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-		default:
-			return nil, &FormatError{Path: path, Version: ver, Max: maxVer}
+		payload, err := readAllPooled(zr)
+		if err != nil {
+			err = fmt.Errorf("store: %s: member @%d: %w", path, start, err)
+		} else {
+			err = fn(start, cr.n, payload)
 		}
-		end := cr.n
-		if rows > 0 || end > start {
-			bm := blockMeta{Offset: start, Len: end - start, Rows: rows, Raw: raw}
-			if ver != FormatV1 {
-				bm.Ver = ver
-			}
-			bm.setZone(zone)
-			ix.appendBlock(bm, shas)
+		bufpool.PutBlockBuf(payload)
+		if err != nil {
+			return start, err, nil
 		}
-		start = end
+		start = cr.n
 		if err := zr.Reset(cr); err != nil {
 			if errors.Is(err, io.EOF) {
-				break
+				return start, nil, nil
 			}
-			return nil, fmt.Errorf("store: %s: %w", path, err)
+			return start, fmt.Errorf("store: %s: member @%d: %w", path, start, err), nil
 		}
 	}
-	return ix, nil
+}
+
+// readAllPooled drains r into a pooled block buffer. The buffer comes
+// back even on error, so the caller always releases it with
+// bufpool.PutBlockBuf.
+func readAllPooled(r io.Reader) ([]byte, error) {
+	buf := bufpool.GetBlockBuf()
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return buf, err
+		}
+	}
+}
+
+// payloadSummary is what analyzePayload derives from a decompressed
+// block payload — everything a sidecar entry records about the block,
+// recomputed from the bytes alone.
+type payloadSummary struct {
+	rows int
+	raw  int64
+	ver  int
+	shas map[string]int
+	// zone is the payload's recomputed zone map: followers never trust
+	// wire metadata, and the zone isn't even on the wire — recomputing
+	// here is what keeps leader and follower sidecars byte-identical.
+	zone blockZone
+}
+
+// meta is the sidecar entry for a member holding this payload at
+// [start, end).
+func (sum *payloadSummary) meta(start, end int64) blockMeta {
+	bm := blockMeta{Offset: start, Len: end - start, Rows: sum.rows, Raw: sum.raw}
+	if sum.ver != FormatV1 {
+		bm.Ver = sum.ver
+	}
+	bm.setZone(sum.zone)
+	return bm
+}
+
+// analyzePayload is the one payload summariser: it decodes a block
+// payload far enough to know its version, row count, JSONL-equivalent
+// raw bytes, per-sample row counts, and zone map. v1 rows are decoded
+// in full (not just the hash), so malformed rows surface as errors on
+// every path that rebuilds or checks an index. A payload in a format
+// newer than maxVer is a *FormatError naming path.
+func analyzePayload(path string, payload []byte, maxVer int) (payloadSummary, error) {
+	sum := payloadSummary{shas: make(map[string]int)}
+	sum.ver = sniffVersion(payload)
+	switch {
+	case sum.ver == FormatV1:
+		sc := bufio.NewScanner(bytes.NewReader(payload))
+		sbuf := bufpool.GetScanBuf()
+		defer bufpool.PutScanBuf(sbuf)
+		sc.Buffer(sbuf, 16<<20)
+		var row scanRow
+		var acc zoneAcc
+		for sc.Scan() {
+			if err := decodeScanRow(sc.Bytes(), &row); err != nil {
+				return sum, err
+			}
+			sum.rows++
+			sum.raw += int64(len(sc.Bytes()))
+			sum.shas[row.SHA]++
+			acc.row(&row)
+		}
+		if err := sc.Err(); err != nil {
+			return sum, err
+		}
+		sum.zone = acc.z
+	case sum.ver <= maxVer:
+		cb, err := parseColumnarBlock(payload, wantAllDicts)
+		if err != nil {
+			return sum, err
+		}
+		sum.rows, sum.raw = cb.rows, cb.raw
+		for _, sha := range cb.sha {
+			sum.shas[sha]++
+		}
+		if sum.zone, err = zoneOfColBlock(cb); err != nil {
+			return sum, err
+		}
+	default:
+		return sum, &FormatError{Path: path, Version: sum.ver, Max: maxVer}
+	}
+	return sum, nil
+}
+
+// indexPartition rebuilds a partition's block index from its bytes
+// alone: the member walker feeding analyzePayload. Works on any valid
+// partition — block-written files recover their original block
+// boundaries (and versions); pre-index files yield one block per
+// historical flush. The returns mirror walkMembers: the index covers
+// the members up to goodEnd, and torn says why the walk stopped there
+// (a member in a format newer than maxVer stops it with *FormatError).
+// Open, writers, and Reindex are strict — any torn is their error;
+// RepairDir truncates at goodEnd instead.
+func indexPartition(path string, maxVer int) (ix *partIndex, goodEnd int64, torn, err error) {
+	ix = newPartIndex()
+	goodEnd, torn, err = walkMembers(path, func(start, end int64, payload []byte) error {
+		sum, err := analyzePayload(path, payload, maxVer)
+		switch {
+		case errors.Is(err, ErrUnsupportedFormat):
+			return err
+		case err != nil:
+			return fmt.Errorf("store: %s: member @%d: %w", path, start, err)
+		}
+		if sum.rows > 0 || end > start {
+			ix.appendBlock(sum.meta(start, end), sum.shas)
+		}
+		return nil
+	})
+	return ix, goodEnd, torn, err
 }
 
 // scanBlock streams the rows of one block, dispatching on the block's
@@ -472,21 +546,12 @@ func readBlockPayloadAt(f *os.File, path string, bm blockMeta) ([]byte, error) {
 	}
 	defer bufpool.PutGzipReader(zr)
 	defer zr.Close()
-	buf := bufpool.GetBlockBuf()
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := zr.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return buf, nil
-			}
-			bufpool.PutBlockBuf(buf)
-			return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-		}
+	buf, err := readAllPooled(zr)
+	if err != nil {
+		bufpool.PutBlockBuf(buf)
+		return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
 	}
+	return buf, nil
 }
 
 // scanBlockLinesAt streams one block's raw lines through fn, drawing

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"vtdynamics/internal/obs"
 	"vtdynamics/internal/report"
 )
 
@@ -48,6 +50,63 @@ func fillStore(t *testing.T, s *Store, n int) []string {
 		}
 	}
 	return shas
+}
+
+// openCounting opens dir with a private metrics registry and reports
+// how many month indexes Open had to rebuild from partition bytes —
+// the "did Open trust the sidecar?" observation.
+func openCounting(t *testing.T, dir string, opts ...Option) (*Store, *obs.Registry, int64) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	s, err := Open(dir, append(opts, WithMetrics(reg))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, reg, reg.SumCounters("store_index_rebuilds_total")
+}
+
+// getBySeeks asserts that Get(sha) is served by block seeks (the
+// indexed-months counter moves) and returns the history.
+func getBySeeks(t *testing.T, s *Store, reg *obs.Registry, sha string) *report.History {
+	t.Helper()
+	before := reg.SumCounters("store_get_indexed_months_total")
+	s.cache.invalidate(sha)
+	h, err := s.Get(sha)
+	if err != nil {
+		t.Fatalf("Get(%s): %v", sha, err)
+	}
+	if reg.SumCounters("store_get_indexed_months_total") == before {
+		t.Fatalf("Get(%s) was not served through the block index", sha)
+	}
+	return h
+}
+
+// checkSidecarsMatchReindex asserts that the sidecars dir holds right
+// now are byte-identical to what an unconditional Reindex writes —
+// i.e. whatever path produced them (writer, rebuild-on-open, append
+// after rebuild) left no holes and no drift.
+func checkSidecarsMatchReindex(t *testing.T, s *Store) {
+	t.Helper()
+	got := make(map[string][]byte)
+	for _, month := range s.Months() {
+		b, err := os.ReadFile(sidecarPath(s.dir, month))
+		if err != nil {
+			t.Fatalf("%s: sidecar not persisted: %v", month, err)
+		}
+		got[month] = b
+	}
+	if err := s.Reindex(); err != nil {
+		t.Fatal(err)
+	}
+	for month, before := range got {
+		after, err := os.ReadFile(sidecarPath(s.dir, month))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s: sidecar on disk differs from what Reindex writes:\n disk    %s\n reindex %s", month, before, after)
+		}
+	}
 }
 
 func TestBlockCuttingProducesMultipleMembers(t *testing.T) {
@@ -116,12 +175,9 @@ func TestReopenUsesSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Indexed() {
-		t.Fatal("reopened store did not load its sidecar")
+	s2, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 0 {
+		t.Fatalf("reopen rebuilt %d indexes instead of loading the sidecar", rebuilds)
 	}
 	if got := s2.TotalStats(); got.Reports != want.Reports || got.RawBytes != want.RawBytes {
 		t.Fatalf("sidecar fast-path stats %+v, want %+v", got, want)
@@ -135,6 +191,9 @@ func TestReopenUsesSidecar(t *testing.T) {
 	}
 }
 
+// TestStaleSidecarFallsBack: a partition grown behind its sidecar's
+// back makes Open fall back from the sidecar to a rebuild from the
+// partition bytes — never to an unindexed month.
 func TestStaleSidecarFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithBlockSize(2<<10))
@@ -151,32 +210,22 @@ func TestStaleSidecarFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
-	if err != nil {
+	s2, reg, rebuilds := openCounting(t, dir)
+	if rebuilds != 1 {
+		t.Fatalf("stale sidecar: Open rebuilt %d indexes, want 1", rebuilds)
+	}
+	// The rebuilt index sees every row, including the one appended
+	// behind the sidecar's back, and serves it by block seeks.
+	if h := getBySeeks(t, s2, reg, "ix0007"); len(h.Reports) != 2 {
+		t.Fatalf("rebuilt index missed the appended row: %+v", h.Reports)
+	}
+	// The next Flush heals the sidecar on disk.
+	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
-		t.Fatal("stale sidecar was trusted")
-	}
-	// The fallback streaming scan sees every row, including the one
-	// appended behind the sidecar's back.
-	h, err := s2.Get("ix0007")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Reports) != 2 {
-		t.Fatalf("fallback missed the appended row: %+v", h.Reports)
-	}
-	// Reindex heals the sidecar in place.
-	if err := s2.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Indexed() {
-		t.Fatal("Reindex did not restore the index")
-	}
-	s2.cache.invalidate("ix0007")
-	if h, err := s2.Get("ix0007"); err != nil || len(h.Reports) != 2 {
-		t.Fatalf("indexed read after heal: %v %+v", err, h)
+	checkSidecarsMatchReindex(t, s2)
+	if _, _, rebuilds := openCounting(t, dir); rebuilds != 0 {
+		t.Fatalf("healed sidecar not trusted on reopen: %d rebuilds", rebuilds)
 	}
 }
 
@@ -193,16 +242,17 @@ func TestCorruptSidecarIgnored(t *testing.T) {
 	if err := os.WriteFile(sidecarPath(dir, "2021-05"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir)
-	if err != nil {
+	s2, reg, rebuilds := openCounting(t, dir)
+	if rebuilds != 1 {
+		t.Fatalf("corrupt sidecar: Open rebuilt %d indexes, want 1", rebuilds)
+	}
+	if h := getBySeeks(t, s2, reg, "ix0003"); len(h.Reports) != 1 {
+		t.Fatalf("read over rebuilt index: %+v", h)
+	}
+	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
-		t.Fatal("corrupt sidecar was trusted")
-	}
-	if h, err := s2.Get("ix0003"); err != nil || len(h.Reports) != 1 {
-		t.Fatalf("fallback read: %v %+v", err, h)
-	}
+	checkSidecarsMatchReindex(t, s2)
 }
 
 func TestReindexMatchesWriterIndex(t *testing.T) {
@@ -219,9 +269,9 @@ func TestReindexMatchesWriterIndex(t *testing.T) {
 	if live == nil {
 		t.Fatal("no live index")
 	}
-	rebuilt, err := indexPartitionFile(s.partPath("2021-05"), formatMax)
-	if err != nil {
-		t.Fatal(err)
+	rebuilt, _, torn, err := indexPartition(s.partPath("2021-05"), formatMax)
+	if err != nil || torn != nil {
+		t.Fatal(err, torn)
 	}
 	if !reflect.DeepEqual(live.snapshotBlocks(), rebuilt.snapshotBlocks()) {
 		t.Fatalf("rebuilt blocks diverge:\nlive    %+v\nrebuilt %+v",
@@ -241,6 +291,14 @@ func TestDeleteSidecarThenReindex(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStore(t, s, 80)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Get("ix0031")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBlocks := s.index("2021-05").snapshotBlocks()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,44 +306,37 @@ func TestDeleteSidecarThenReindex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
-	if err != nil {
+	s2, reg, rebuilds := openCounting(t, dir)
+	if rebuilds != 1 {
+		t.Fatalf("missing sidecar: Open rebuilt %d indexes, want 1", rebuilds)
+	}
+	// The index rebuilt at Open is the one the writer had, and reads
+	// through it return exactly what the writer's index served.
+	if got := s2.index("2021-05").snapshotBlocks(); !reflect.DeepEqual(got, wantBlocks) {
+		t.Fatalf("rebuilt blocks diverge from the writer's:\n got %+v\nwant %+v", got, wantBlocks)
+	}
+	if got := getBySeeks(t, s2, reg, "ix0031"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read over rebuilt index diverges:\n got %+v\nwant %+v", got, want)
+	}
+	// Nothing is on disk until a flush; then it is what Reindex writes.
+	if _, err := os.Stat(sidecarPath(dir, "2021-05")); !os.IsNotExist(err) {
+		t.Fatalf("sidecar written before any flush: %v", err)
+	}
+	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
-		t.Fatal("store indexed without a sidecar")
-	}
-	fallback, err := s2.Get("ix0031")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Indexed() {
-		t.Fatal("Reindex left the store unindexed")
-	}
-	// The indexed read returns exactly what the fallback scan returned.
-	// (Invalidate the cached copy first so Get really hits the index.)
-	s2.cache.invalidate("ix0031")
-	indexed, err := s2.Get("ix0031")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fallback, indexed) {
-		t.Fatalf("indexed read diverges from fallback:\nfallback %+v\nindexed  %+v", fallback, indexed)
-	}
+	checkSidecarsMatchReindex(t, s2)
 	// And the new sidecar survives a reopen.
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s3.Indexed() {
-		t.Fatal("healed sidecar not loaded on reopen")
+	if _, _, rebuilds := openCounting(t, dir); rebuilds != 0 {
+		t.Fatalf("healed sidecar not loaded on reopen: %d rebuilds", rebuilds)
 	}
 }
 
-func TestAppendToUnindexedPartitionStaysUnindexed(t *testing.T) {
+// TestAppendAfterRebuildContinuesIndex: appending to a month whose
+// sidecar was lost continues the rebuilt index without holes — the
+// old and the new rows are both served by block seeks, and the sidecar
+// the flush writes is the one Reindex would.
+func TestAppendAfterRebuildContinuesIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -298,12 +349,9 @@ func TestAppendToUnindexedPartitionStaysUnindexed(t *testing.T) {
 	if err := os.Remove(sidecarPath(dir, "2021-05")); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen without the sidecar, then append: the writer must not
-	// start a partial index (its sidecar would have holes), and reads
-	// must keep working through the fallback scan.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	s2, reg, rebuilds := openCounting(t, dir)
+	if rebuilds != 1 {
+		t.Fatalf("missing sidecar: Open rebuilt %d indexes, want 1", rebuilds)
 	}
 	if err := s2.Put(envelope("late", t0.Add(time.Hour), 3)); err != nil {
 		t.Fatal(err)
@@ -311,15 +359,126 @@ func TestAppendToUnindexedPartitionStaysUnindexed(t *testing.T) {
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
-		t.Fatal("append to a sidecar-less partition created a partial index")
-	}
-	if _, err := os.Stat(sidecarPath(dir, "2021-05")); !os.IsNotExist(err) {
-		t.Fatalf("partial sidecar written: %v", err)
-	}
 	for _, sha := range []string{"ix0000", "late"} {
-		if h, err := s2.Get(sha); err != nil || len(h.Reports) != 1 {
-			t.Fatalf("%s: %v %+v", sha, err, h)
+		if h := getBySeeks(t, s2, reg, sha); len(h.Reports) != 1 {
+			t.Fatalf("%s: %+v", sha, h)
 		}
+	}
+	if n, err := s2.Verify(); err != nil || n != 21 {
+		t.Fatalf("Verify after append: %d, %v", n, err)
+	}
+	checkSidecarsMatchReindex(t, s2)
+}
+
+// TestWriterIndexesBytesGrownBehindIt: bytes appended to a partition
+// behind an open store's back (after its last flush) are indexed by
+// the next writer for the month instead of poisoning the sidecar.
+func TestWriterIndexesBytesGrownBehindIt(t *testing.T) {
+	dir := t.TempDir()
+	s, reg, _ := openCounting(t, dir)
+	fillStore(t, s, 10)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRawMember(t, dir, "2021-05", envelope("ix0002", t0.Add(2*time.Hour), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(envelope("ix0002", t0.Add(3*time.Hour), 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.SumCounters("store_index_rebuilds_total"); got != 1 {
+		t.Fatalf("writer rebuilt %d indexes, want 1", got)
+	}
+	if h := getBySeeks(t, s, reg, "ix0002"); len(h.Reports) != 3 {
+		t.Fatalf("want the original, the foreign, and the new row; got %+v", h.Reports)
+	}
+	checkSidecarsMatchReindex(t, s)
+}
+
+// TestOpenRefusesTornTail pins the Open/RepairDir split: Open never
+// truncates — a partition whose tail does not decode is an error — and
+// RepairDir is the only path that cuts it back.
+func TestOpenRefusesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, WithBlockSize(2<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 60)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := s.partPath("2021-05")
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, whole[:len(whole)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil {
+		t.Fatal("Open accepted a partition with a torn tail")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(whole)-7) {
+		t.Fatalf("Open touched the torn partition: %v %v", fi, err)
+	}
+	rs, err := RepairDir(dir)
+	if err != nil || rs.TruncatedBytes == 0 {
+		t.Fatalf("RepairDir: %+v, %v", rs, err)
+	}
+	s2, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 0 {
+		t.Fatalf("repaired store rebuilt %d indexes at Open", rebuilds)
+	}
+	if _, err := s2.Verify(); err != nil {
+		t.Fatalf("Verify after repair: %v", err)
+	}
+}
+
+// TestSidecarWriteFailureIsRetried: a sidecar write that fails must
+// surface, leave the index dirty, and be retried by the next Sync —
+// and must never leave torn JSON where the old sidecar was.
+func TestSidecarWriteFailureIsRetried(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 10)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(sidecarPath(dir, "2021-05"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(envelope("more", t0.Add(time.Hour), 2)); err != nil {
+		t.Fatal(err)
+	}
+	// Make the store directory unwritable for the sidecar: a directory
+	// squatting on its temp path fails the tmp+rename write even for
+	// root, which plain permission bits do not stop.
+	blocker := sidecarPath(dir, "2021-05") + ".tmp"
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err == nil {
+		t.Fatal("Sync swallowed a failed sidecar write")
+	}
+	if now, err := os.ReadFile(sidecarPath(dir, "2021-05")); err != nil || !bytes.Equal(now, good) {
+		t.Fatalf("failed write disturbed the previous sidecar: %v", err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("retry Sync: %v", err)
+	}
+	checkSidecarsMatchReindex(t, s)
+	if _, _, rebuilds := openCounting(t, dir); rebuilds != 0 {
+		t.Fatalf("retried sidecar not trusted on reopen: %d rebuilds", rebuilds)
 	}
 }

@@ -1,9 +1,9 @@
 // Per-block aggregation kernels for the pushdown scan engine.
 //
-// A kernel is an Agg: it mints one Partial per scan job (block or
-// fallback month), the workers feed matching RowViews into partials
-// concurrently, and Scan folds the partials back in deterministic job
-// order — month ascending, block sequence ascending, which is exactly
+// A kernel is an Agg: it mints one Partial per scan job (one block),
+// the workers feed matching RowViews into partials concurrently, and
+// Scan folds the partials back in deterministic job order — month
+// ascending, block sequence ascending, which is exactly
 // row storage order. Kernels whose merge is commutative (counts,
 // min/max) don't care; FlipCountAgg depends on that ordering.
 //

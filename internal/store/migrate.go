@@ -41,33 +41,26 @@ func (s *Store) Migrate() (MigrateStats, error) {
 	if err := s.Flush(); err != nil {
 		return ms, err
 	}
-	for _, month := range s.Months() {
-		migrated, err := s.migrateMonth(month)
+	for _, mi := range s.monthIndexes("") {
+		migrated, err := s.migrateMonth(mi.month, mi.ix.snapshotBlocks())
 		if err != nil {
 			return ms, err
 		}
 		if migrated {
-			ms.Migrated = append(ms.Migrated, month)
+			ms.Migrated = append(ms.Migrated, mi.month)
 		} else {
-			ms.Skipped = append(ms.Skipped, month)
+			ms.Skipped = append(ms.Skipped, mi.month)
 		}
 	}
 	return ms, nil
 }
 
-// migrateMonth rewrites one month if it still holds v1 rows.
-func (s *Store) migrateMonth(month string) (bool, error) {
+// migrateMonth rewrites one month, given its current block list, if
+// it still holds v1 rows.
+func (s *Store) migrateMonth(month string, blocks []blockMeta) (bool, error) {
 	path := s.partPath(month)
-	ix := s.index(month)
-	if ix == nil {
-		var err error
-		ix, err = indexPartitionFile(path, s.maxFormat)
-		if err != nil {
-			return false, err
-		}
-	}
 	needs := false
-	for _, bm := range ix.snapshotBlocks() {
+	for _, bm := range blocks {
 		if bm.Rows > 0 && blockVer(bm) == FormatV1 {
 			needs = true
 			break
@@ -78,12 +71,12 @@ func (s *Store) migrateMonth(month string) (bool, error) {
 	}
 
 	tmp := path + ".migrate"
-	newIx, srcSum, stored, err := s.rewriteMonth(path, tmp)
+	newIx, srcSum, stored, err := s.rewriteMonth(path, blocks, tmp)
 	if err != nil {
 		os.Remove(tmp)
 		return false, err
 	}
-	dstSum, err := s.canonicalSum(tmp)
+	dstSum, err := s.canonicalSum(tmp, newIx.snapshotBlocks())
 	if err != nil {
 		os.Remove(tmp)
 		return false, err
@@ -112,11 +105,11 @@ func (s *Store) migrateMonth(month string) (bool, error) {
 	return true, nil
 }
 
-// rewriteMonth streams src's rows in storage order into dst as
-// v2 blocks cut at the store's block-size target, returning the new
-// block index, the canonical row hash of the source, and the bytes
-// written.
-func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error) {
+// rewriteMonth streams src's rows, block by block in storage order,
+// into dst as v2 blocks cut at the store's block-size target,
+// returning the new block index, the canonical row hash of the source,
+// and the bytes written.
+func (s *Store) rewriteMonth(src string, blocks []blockMeta, dst string) (*partIndex, []byte, int64, error) {
 	f, err := os.Create(dst)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: migrate: %w", err)
@@ -171,7 +164,7 @@ func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error)
 	}
 	lineBuf := bufpool.GetBuf()
 	defer func() { bufpool.PutBuf(lineBuf) }()
-	err = s.scanPartition(src, func(row scanRow) {
+	err = s.scanBlocks(src, blocks, func(row scanRow) {
 		if innerErr != nil {
 			return
 		}
@@ -191,7 +184,7 @@ func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error)
 		if len(pending) >= s.blockSize {
 			innerErr = cutBlock()
 		}
-	}, nil)
+	})
 	if err == nil {
 		err = innerErr
 	}
@@ -210,19 +203,30 @@ func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error)
 }
 
 // canonicalSum hashes the canonical row encoding of every row in a
-// partition file, in storage order — the verification fingerprint
-// Migrate compares across the rewrite.
-func (s *Store) canonicalSum(path string) ([]byte, error) {
+// partition file's blocks, in storage order — the verification
+// fingerprint Migrate compares across the rewrite.
+func (s *Store) canonicalSum(path string, blocks []blockMeta) ([]byte, error) {
 	h := sha256.New()
 	lineBuf := bufpool.GetBuf()
 	defer func() { bufpool.PutBuf(lineBuf) }()
-	err := s.scanPartition(path, func(row scanRow) {
+	err := s.scanBlocks(path, blocks, func(row scanRow) {
 		lineBuf = appendScanRow(lineBuf[:0], rowToReport(row))
 		h.Write(lineBuf)
 		h.Write([]byte{'\n'})
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return h.Sum(nil), nil
+}
+
+// scanBlocks streams the rows of a partition file's blocks, in order,
+// through fn.
+func (s *Store) scanBlocks(path string, blocks []blockMeta, fn func(row scanRow)) error {
+	for _, bm := range blocks {
+		if err := scanBlock(path, bm, s.maxFormat, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }

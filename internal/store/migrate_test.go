@@ -107,12 +107,9 @@ func TestMigrateEndToEnd(t *testing.T) {
 	if got := snapshotStore(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live handle diverged after migrate:\n got %+v\nwant %+v", got, want)
 	}
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reopened.Indexed() {
-		t.Fatal("migrated store reopened unindexed")
+	reopened, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 0 {
+		t.Fatalf("migrated store rebuilt %d indexes on reopen", rebuilds)
 	}
 	if got := snapshotStore(t, reopened); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened store diverged after migrate:\n got %+v\nwant %+v", got, want)
@@ -140,8 +137,8 @@ func TestMigrateEndToEnd(t *testing.T) {
 }
 
 // TestMigrateUnindexedStore migrates a store whose sidecars were
-// deleted (the pre-sidecar fallback path): Migrate must reindex as it
-// goes and leave the store fully indexed in v2.
+// deleted (the pre-sidecar shape): Migrate runs over the indexes Open
+// rebuilt and leaves fresh v2 sidecars a reopen trusts.
 func TestMigrateUnindexedStore(t *testing.T) {
 	dir := migrateFixture(t, 60)
 	entries, err := os.ReadDir(dir)
@@ -155,27 +152,27 @@ func TestMigrateUnindexedStore(t *testing.T) {
 			}
 		}
 	}
-	before, err := Open(dir)
+	s, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 2 {
+		t.Fatalf("sidecar-less store: Open rebuilt %d indexes, want 2", rebuilds)
+	}
+	want := snapshotStore(t, s)
+	ms, err := s.Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotStore(t, before)
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Indexed() {
-		t.Fatal("expected unindexed store after sidecar removal")
-	}
-	if _, err := s.Migrate(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Indexed() {
-		t.Fatal("store not indexed after migrate")
+	if len(ms.Migrated) != 2 {
+		t.Fatalf("migrated %v, want both months", ms.Migrated)
 	}
 	if got := snapshotStore(t, s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrate of unindexed store diverged:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("migrate of sidecar-less store diverged:\n got %+v\nwant %+v", got, want)
+	}
+	reopened, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 0 {
+		t.Fatalf("migrated store rebuilt %d indexes on reopen", rebuilds)
+	}
+	if got := snapshotStore(t, reopened); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store diverged after migrate:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -29,9 +29,7 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,10 +43,11 @@ import (
 	"vtdynamics/internal/report"
 )
 
-// ErrNotIndexed is returned by the replication hooks for months
-// without a block index (pre-sidecar stores); Reindex upgrades them
-// in place.
-var ErrNotIndexed = errors.New("store: partition not indexed (run Reindex first)")
+// ErrUnknownMonth is returned by BlocksSince and ReadBlock for months
+// the store holds no partition for. (Every partition on disk has a
+// block index from Open on, so there is no "present but unindexed"
+// state to report.)
+var ErrUnknownMonth = errors.New("store: unknown month")
 
 // ErrReplMismatch is returned by ApplyBlocks when a replicated block
 // disagrees with the replica's committed state or with its own
@@ -113,9 +112,10 @@ func (ix *partIndex) state() (int, int64) {
 	return len(ix.blocks), ix.fileSize
 }
 
-// ReplState returns the committed replication position of every
-// indexed month. Blocks recorded here are fully on disk: the index is
-// only appended to after a block's bytes are written.
+// ReplState returns the committed replication position of every month
+// on disk — Open indexes them all, so the manifest a leader serves
+// never omits a partition. Blocks recorded here are fully on disk: the
+// index is only appended to after a block's bytes are written.
 func (s *Store) ReplState() map[string]MonthState {
 	s.imu.Lock()
 	defer s.imu.Unlock()
@@ -130,8 +130,8 @@ func (s *Store) ReplState() map[string]MonthState {
 // BlocksSince returns up to maxBlocks committed blocks of month
 // starting at sequence number seq, additionally capped at maxBytes of
 // compressed payload (always returning at least one block when any is
-// due). maxBlocks/maxBytes <= 0 mean unlimited. A month that has no
-// index returns ErrNotIndexed; a seq past the committed count returns
+// due). maxBlocks/maxBytes <= 0 mean unlimited. A month the store does
+// not hold returns ErrUnknownMonth; a seq past the committed count returns
 // ErrUnknownBlock (seq == count returns an empty slice — the caller
 // is caught up).
 func (s *Store) BlocksSince(month string, seq, maxBlocks int, maxBytes int64) ([]ReplBlock, error) {
@@ -140,7 +140,7 @@ func (s *Store) BlocksSince(month string, seq, maxBlocks int, maxBytes int64) ([
 	}
 	ix := s.index(month)
 	if ix == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotIndexed, month)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownMonth, month)
 	}
 	blocks := ix.snapshotBlocks()
 	if seq < 0 || seq > len(blocks) {
@@ -180,7 +180,7 @@ func (s *Store) ReadBlock(ref ReplBlock) ([]byte, error) {
 	}
 	ix := s.index(ref.Month)
 	if ix == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotIndexed, ref.Month)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownMonth, ref.Month)
 	}
 	blocks := ix.snapshotBlocks()
 	if ref.Seq < 0 || ref.Seq >= len(blocks) {
@@ -201,66 +201,6 @@ func (s *Store) ReadBlock(ref ReplBlock) ([]byte, error) {
 		return nil, fmt.Errorf("store: %s: block @%d: %w", ref.Month, bm.Offset, err)
 	}
 	return data, nil
-}
-
-// payloadSummary is what analyzePayload derives from a decompressed
-// block payload — the ground truth ApplyBlocks checks wire metadata
-// against.
-type payloadSummary struct {
-	rows int
-	raw  int64
-	ver  int
-	shas map[string]int
-	// zone is the payload's recomputed zone map: followers never trust
-	// wire metadata, and the zone isn't even on the wire — recomputing
-	// here is what keeps leader and follower sidecars byte-identical.
-	zone blockZone
-}
-
-// analyzePayload decodes a block payload far enough to know its
-// version, row count, JSONL-equivalent raw bytes, and per-sample row
-// counts. This is the per-member core of indexPartitionFile, applied
-// to one already-decompressed payload.
-func analyzePayload(payload []byte, maxVer int) (payloadSummary, error) {
-	sum := payloadSummary{shas: make(map[string]int)}
-	sum.ver = sniffVersion(payload)
-	switch {
-	case sum.ver == FormatV1:
-		sc := bufio.NewScanner(bytes.NewReader(payload))
-		sbuf := bufpool.GetScanBuf()
-		defer bufpool.PutScanBuf(sbuf)
-		sc.Buffer(sbuf, 16<<20)
-		var row scanRow
-		var acc zoneAcc
-		for sc.Scan() {
-			if err := decodeScanRow(sc.Bytes(), &row); err != nil {
-				return sum, err
-			}
-			sum.rows++
-			sum.raw += int64(len(sc.Bytes()))
-			sum.shas[row.SHA]++
-			acc.row(&row)
-		}
-		if err := sc.Err(); err != nil {
-			return sum, err
-		}
-		sum.zone = acc.z
-	case sum.ver <= maxVer:
-		cb, err := parseColumnarBlock(payload, wantSHA|wantFT|wantEng|wantLab)
-		if err != nil {
-			return sum, err
-		}
-		sum.rows, sum.raw = cb.rows, cb.raw
-		for _, sha := range cb.sha {
-			sum.shas[sha]++
-		}
-		if sum.zone, err = zoneOfColBlock(cb); err != nil {
-			return sum, err
-		}
-	default:
-		return sum, &FormatError{Version: sum.ver, Max: maxVer}
-	}
-	return sum, nil
 }
 
 // ApplyBlocks verifies and appends replicated blocks to month's
@@ -297,12 +237,9 @@ func (s *Store) ApplyBlocks(month string, blocks []ReplBlock, data [][]byte) err
 	path := s.partPath(month)
 	ix := s.index(month)
 	if ix == nil {
-		// A month this replica has never seen starts an empty index —
-		// but only when there is genuinely nothing on disk; an existing
-		// unindexed partition must be repaired or reindexed first.
-		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-			return fmt.Errorf("%w: %s", ErrNotIndexed, month)
-		}
+		// A month this replica has never seen starts an empty index; if
+		// bytes appeared on disk behind the store's back, the size check
+		// below refuses them.
 		ix = newPartIndex()
 		s.setIndex(month, ix)
 	}
@@ -339,12 +276,7 @@ func (s *Store) ApplyBlocks(month string, blocks []ReplBlock, data [][]byte) err
 		if _, err := f.Write(data[i]); err != nil {
 			return fmt.Errorf("store: %s seq %d: %w", month, b.Seq, err)
 		}
-		bm := blockMeta{Offset: b.Offset, Len: b.Len, Rows: b.Rows, Raw: b.Raw}
-		if b.Ver != FormatV1 {
-			bm.Ver = b.Ver
-		}
-		bm.setZone(sum.zone)
-		ix.appendBlock(bm, sum.shas)
+		ix.appendBlock(sum.meta(b.Offset, b.Offset+b.Len), sum.shas)
 		for sha := range sum.shas {
 			sh := s.shardFor(sha)
 			sh.mu.Lock()
@@ -386,20 +318,10 @@ func (s *Store) verifyMemberPayload(data []byte, b ReplBlock) (payloadSummary, e
 	defer bufpool.PutGzipReader(zr)
 	defer zr.Close()
 	zr.Multistream(false)
-	payload := bufpool.GetBlockBuf()
+	payload, err := readAllPooled(zr)
 	defer bufpool.PutBlockBuf(payload)
-	for {
-		if len(payload) == cap(payload) {
-			payload = append(payload, 0)[:len(payload)]
-		}
-		n, err := zr.Read(payload[len(payload):cap(payload)])
-		payload = payload[:len(payload)+n]
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return payloadSummary{}, fmt.Errorf("%w: %s seq %d: corrupt member: %v", ErrReplMismatch, b.Month, b.Seq, err)
-		}
+	if err != nil {
+		return payloadSummary{}, fmt.Errorf("%w: %s seq %d: corrupt member: %v", ErrReplMismatch, b.Month, b.Seq, err)
 	}
 	// Exactly one member: trailing bytes would smuggle unaccounted rows
 	// past the index.
@@ -408,12 +330,11 @@ func (s *Store) verifyMemberPayload(data []byte, b ReplBlock) (payloadSummary, e
 	} else if !errors.Is(err, io.EOF) {
 		return payloadSummary{}, fmt.Errorf("%w: %s seq %d: trailing garbage after gzip member", ErrReplMismatch, b.Month, b.Seq)
 	}
-	sum, err := analyzePayload(payload, s.maxFormat)
-	if err != nil {
-		var fe *FormatError
-		if errors.As(err, &fe) {
-			return payloadSummary{}, &FormatError{Path: s.partPath(b.Month), Version: fe.Version, Max: fe.Max}
-		}
+	sum, err := analyzePayload(s.partPath(b.Month), payload, s.maxFormat)
+	switch {
+	case errors.Is(err, ErrUnsupportedFormat):
+		return payloadSummary{}, err
+	case err != nil:
 		return payloadSummary{}, fmt.Errorf("%w: %s seq %d: payload: %v", ErrReplMismatch, b.Month, b.Seq, err)
 	}
 	if sum.ver != b.Ver || sum.rows != b.Rows || sum.raw != b.Raw {
@@ -591,7 +512,13 @@ func RepairDir(dir string) (RepairStats, error) {
 		} else if ok {
 			continue // sidecar cleanly covers the partition
 		}
-		ix, goodEnd, err := tolerantIndexPartition(path)
+		// Anything that stops the member walk short is a torn tail and
+		// is truncated away — except a member from a newer build, whose
+		// data is intact: this build is just too old to touch it.
+		ix, goodEnd, torn, err := indexPartition(path, formatMax)
+		if errors.Is(torn, ErrUnsupportedFormat) {
+			err = torn
+		}
 		if err != nil {
 			return rs, err
 		}
@@ -609,58 +536,4 @@ func RepairDir(dir string) (RepairStats, error) {
 	}
 	sort.Strings(rs.Repaired)
 	return rs, nil
-}
-
-// tolerantIndexPartition walks a partition's gzip members like
-// indexPartitionFile, but stops at the first undecodable member and
-// reports the last good member boundary instead of failing — the
-// repair primitive for torn tails. A member in a future format is
-// still a hard error: the data is intact, this build is just too old.
-func tolerantIndexPartition(path string) (*partIndex, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return newPartIndex(), 0, nil
-		}
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	cr := &countingByteReader{r: bufio.NewReaderSize(f, 1<<20)}
-	ix := newPartIndex()
-	zr, err := gzip.NewReader(cr)
-	if err != nil {
-		// Not even a whole gzip header: the entire file is torn.
-		return ix, 0, nil
-	}
-	defer zr.Close()
-	var start int64
-	for {
-		zr.Multistream(false)
-		payload, err := io.ReadAll(zr)
-		if err != nil {
-			return ix, start, nil // torn member: stop at the last boundary
-		}
-		sum, err := analyzePayload(payload, formatMax)
-		if err != nil {
-			var fe *FormatError
-			if errors.As(err, &fe) {
-				return nil, 0, &FormatError{Path: path, Version: fe.Version, Max: fe.Max}
-			}
-			return ix, start, nil // undecodable payload: treat as torn
-		}
-		end := cr.n
-		if sum.rows > 0 || end > start {
-			bm := blockMeta{Offset: start, Len: end - start, Rows: sum.rows, Raw: sum.raw}
-			if sum.ver != FormatV1 {
-				bm.Ver = sum.ver
-			}
-			bm.setZone(sum.zone)
-			ix.appendBlock(bm, sum.shas)
-		}
-		start = end
-		if err := zr.Reset(cr); err != nil {
-			// EOF is the clean end; anything else is a torn next header.
-			return ix, start, nil
-		}
-	}
 }

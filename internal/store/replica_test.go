@@ -163,13 +163,11 @@ func TestReplicationRoundTripParity(t *testing.T) {
 				}
 			}
 
-			// And a reopened replica is a fully indexed, verifiable store.
-			reopened, err := Open(followerDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reopened.Indexed() {
-				t.Fatal("reopened follower is not indexed")
+			// And a reopened replica is a verifiable store whose own
+			// sidecars Open trusts as they are.
+			reopened, _, rebuilds := openCounting(t, followerDir)
+			if rebuilds != 0 {
+				t.Fatalf("reopened follower rebuilt %d indexes", rebuilds)
 			}
 			if _, err := reopened.Verify(); err != nil {
 				t.Fatalf("reopened follower Verify: %v", err)
@@ -418,8 +416,8 @@ func TestBlocksSinceBounds(t *testing.T) {
 	if _, err := s.BlocksSince(month, -1, 0, 0); !errors.Is(err, ErrUnknownBlock) {
 		t.Fatalf("negative seq: %v", err)
 	}
-	// Unknown month: ErrNotIndexed.
-	if _, err := s.BlocksSince("1999-01", 0, 0, 0); !errors.Is(err, ErrNotIndexed) {
+	// Unknown month: ErrUnknownMonth.
+	if _, err := s.BlocksSince("1999-01", 0, 0, 0); !errors.Is(err, ErrUnknownMonth) {
 		t.Fatalf("unknown month: %v", err)
 	}
 	// maxBlocks caps the batch.
@@ -503,13 +501,11 @@ func TestRepairDirTruncatesTornTail(t *testing.T) {
 	if fi2, err := os.Stat(part); err != nil || fi2.Size() != fi.Size() {
 		t.Fatalf("partition size %d after repair, want %d (err %v)", fi2.Size(), fi.Size(), err)
 	}
-	// The repaired store opens fully indexed and verifies clean.
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Indexed() {
-		t.Fatal("repaired store not indexed")
+	// The repaired store opens on its repaired sidecars and verifies
+	// clean.
+	s, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 0 {
+		t.Fatalf("repaired store rebuilt %d indexes at Open", rebuilds)
 	}
 	if _, err := s.Verify(); err != nil {
 		t.Fatal(err)

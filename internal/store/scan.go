@@ -9,12 +9,12 @@
 //  1. Block pruning. Before touching a partition, each sidecar block
 //     entry is tested against the query: empty blocks, blocks whose
 //     posting list lacks every requested sample, blocks whose zone
-//     time bounds (or, for pre-zone entries, the month's natural
-//     bounds) miss the time range, blocks whose file-type/engine/label
-//     fingerprints cannot intersect the predicate sets, and blocks
-//     with zero malicious rows under MaliciousOnly are all skipped
-//     without a single byte of decompression. Fingerprint pruning is
-//     one-sided: a false positive costs a scan, never a wrong answer.
+//     time bounds miss the time range, blocks whose
+//     file-type/engine/label fingerprints cannot intersect the
+//     predicate sets, and blocks with zero malicious rows under
+//     MaliciousOnly are all skipped without a single byte of
+//     decompression. Fingerprint pruning is one-sided: a false
+//     positive costs a scan, never a wrong answer.
 //  2. Column projection. A scanned v2 block decodes only the column
 //     segments the query's predicates and projection actually touch;
 //     the rest are skipped whole (their lengths are in the payload),
@@ -26,10 +26,12 @@
 //     block sequence ascending), so results are independent of worker
 //     count and scheduling.
 //
-// v1 blocks and unindexed months fall back to full row decode with
-// the same row-level filter, so mixed-format stores stay correct —
-// pinned by FuzzScanPushdownDifferential, which compares Scan against
-// the naive IterAll filter over random v1/v2/mixed stores.
+// v1 blocks take a full row decode with the same row-level filter, so
+// mixed-format stores stay correct — pinned by
+// FuzzScanPushdownDifferential, which compares Scan against the naive
+// IterAll filter over random v1/v2/mixed stores. Every month has a
+// fully zoned block index from Open on (index.go), so the planner has
+// no other case.
 //
 // Accounting identity (checked by the metrics invariant suite): every
 // sidecar block a Scan considers is either pruned (for exactly one
@@ -40,10 +42,8 @@ package store
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vtdynamics/internal/bufpool"
 	"vtdynamics/internal/report"
@@ -115,9 +115,9 @@ type RowView struct {
 	Res   []ResView
 }
 
-// Partial accumulates one job's (one block's, or one unindexed
-// month's) rows. Row is called from a single goroutine per partial;
-// distinct partials run concurrently.
+// Partial accumulates one job's (one block's) rows. Row is called
+// from a single goroutine per partial; distinct partials run
+// concurrently.
 type Partial interface {
 	Row(rv *RowView) error
 }
@@ -162,8 +162,6 @@ type ScanStats struct {
 	// ColumnsSkipped counts column segments of scanned v2 blocks the
 	// query never touched.
 	ColumnsSkipped int64
-	// FallbackMonths counts unindexed months streamed end to end.
-	FallbackMonths int
 }
 
 // PrunedTotal sums Pruned across reasons.
@@ -239,8 +237,8 @@ func (cq *compiledQuery) touchedSegments() int {
 }
 
 // matchScanRow is the row-level filter over a fully decoded row — the
-// v1 / fallback path, and the reference semantics the v2 pushdown
-// loop must agree with (differential fuzzer).
+// v1 path, and the reference semantics the v2 pushdown loop must agree
+// with (differential fuzzer).
 func (cq *compiledQuery) matchScanRow(row *scanRow) bool {
 	if cq.shaSet != nil && !cq.shaSet[row.SHA] {
 		return false
@@ -280,65 +278,33 @@ func (cq *compiledQuery) matchScanRow(row *scanRow) bool {
 	return true
 }
 
-// monthBounds returns the natural unix-second bounds [start, end] of
-// a month partition's rows. ok is false for the zero-timestamp month
-// ("0001-01"), whose rows carry At == 0 — outside the month's literal
-// range — so it never participates in month-bound time pruning.
-func monthBounds(month string) (start, end int64, ok bool) {
-	if month == "0001-01" {
-		return 0, 0, false
-	}
-	t, err := time.Parse("2006-01", month)
-	if err != nil {
-		return 0, 0, false
-	}
-	return t.Unix(), t.AddDate(0, 1, 0).Unix() - 1, true
-}
-
-// scanJob is one unit of a Scan: a single indexed block, or a whole
-// unindexed month.
-type scanJob struct {
-	month string
-	path  string
-	bm    *blockMeta
-}
-
 // prunesBlock decides whether one sidecar entry can be skipped,
-// returning the reason ("" = must scan). monthLo/monthHi are the
-// month's natural bounds (boundOK false when unknown); shaAllowed is
-// the posting-derived block set (nil = no SHA predicate).
-func (cq *compiledQuery) prunesBlock(bm *blockMeta, seq int, monthLo, monthHi int64, boundOK bool, shaAllowed map[int]bool) string {
+// returning the reason ("" = must scan). shaAllowed is the
+// posting-derived block set (nil = no SHA predicate).
+func (cq *compiledQuery) prunesBlock(bm *blockMeta, seq int, shaAllowed map[int]bool) string {
 	if bm.Rows == 0 {
 		return PruneEmpty
 	}
 	if shaAllowed != nil && !shaAllowed[seq] {
 		return PruneSHA
 	}
-	lo, hi, haveTime := monthLo, monthHi, boundOK
-	if bm.Z != 0 {
-		lo, hi, haveTime = bm.TMin, bm.TMax, true
+	if cq.q.Since != 0 && bm.TMax < cq.q.Since {
+		return PruneTime
 	}
-	if haveTime {
-		if cq.q.Since != 0 && hi < cq.q.Since {
-			return PruneTime
-		}
-		if cq.q.Until != 0 && lo > cq.q.Until {
-			return PruneTime
-		}
+	if cq.q.Until != 0 && bm.TMin > cq.q.Until {
+		return PruneTime
 	}
-	if bm.Z != 0 {
-		if cq.ftMask != 0 && bm.FTB&cq.ftMask == 0 {
-			return PruneFileType
-		}
-		if cq.engMask != 0 && bm.EngB&cq.engMask == 0 {
-			return PruneEngine
-		}
-		if cq.labMask != 0 && bm.LabB&cq.labMask == 0 {
-			return PruneLabel
-		}
-		if cq.q.MaliciousOnly && bm.Mal == 0 {
-			return PruneVerdict
-		}
+	if cq.ftMask != 0 && bm.FTB&cq.ftMask == 0 {
+		return PruneFileType
+	}
+	if cq.engMask != 0 && bm.EngB&cq.engMask == 0 {
+		return PruneEngine
+	}
+	if cq.labMask != 0 && bm.LabB&cq.labMask == 0 {
+		return PruneLabel
+	}
+	if cq.q.MaliciousOnly && bm.Mal == 0 {
+		return PruneVerdict
 	}
 	return ""
 }
@@ -369,58 +335,32 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 	skippedPerBlock := int64(numColSegs - cq.touchedSegments())
 
 	// Plan: walk every sidecar entry, prune or schedule.
-	var jobs []scanJob
-	for _, month := range s.Months() {
-		path := s.partPath(month)
-		lo, hi, boundOK := monthBounds(month)
-		ix := s.index(month)
-		if ix == nil {
-			// Unindexed month: nothing to prune block-wise; the month's
-			// natural bounds still let a time query skip it whole.
-			if boundOK {
-				if (q.Since != 0 && hi < q.Since) || (q.Until != 0 && lo > q.Until) {
-					continue
-				}
-			}
-			stats.FallbackMonths++
-			if fi, err := os.Stat(path); err == nil {
-				stats.CompressedBytes += fi.Size()
-			}
-			jobs = append(jobs, scanJob{month: month, path: path})
-			continue
-		}
+	jobs := s.planBlocks("", func(mi monthIndex, blocks []blockMeta) func(int) bool {
 		var shaAllowed map[int]bool
 		if cq.shaSet != nil {
-			shaAllowed = ix.postingSeqsFor(q.SHAs)
+			shaAllowed = mi.ix.postingSeqsFor(q.SHAs)
 		}
-		for seq, bm := range ix.snapshotBlocks() {
+		return func(seq int) bool {
+			bm := &blocks[seq]
 			stats.Blocks++
-			bm := bm
-			if reason := cq.prunesBlock(&bm, seq, lo, hi, boundOK, shaAllowed); reason != "" {
+			if reason := cq.prunesBlock(bm, seq, shaAllowed); reason != "" {
 				stats.Pruned[reason]++
-				continue
+				return false
 			}
 			stats.Scanned++
 			stats.CompressedBytes += bm.Len
-			if blockVer(bm) != FormatV1 {
+			if blockVer(*bm) != FormatV1 {
 				stats.ColumnsSkipped += skippedPerBlock
 			}
-			jobs = append(jobs, scanJob{month: month, path: path, bm: &bm})
+			return true
 		}
-	}
+	})
 
 	// Execute: one partial per job, workers pull jobs, results keep
 	// job order for the deterministic merge.
-	workers := q.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	partials := make([]Partial, len(jobs))
 	var rows atomic.Int64
-	runJob := func(i int) error {
+	err := runJobs(q.Workers, len(jobs), func(i int) error {
 		pt := agg.NewPartial()
 		n, err := s.runScanJob(jobs[i], cq, pt)
 		if err != nil {
@@ -429,49 +369,7 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 		partials[i] = pt
 		rows.Add(n)
 		return nil
-	}
-	var err error
-	if workers <= 1 {
-		for i := range jobs {
-			if err = runJob(i); err != nil {
-				break
-			}
-		}
-	} else {
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		jobc := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobc {
-					mu.Lock()
-					failed := firstErr != nil
-					mu.Unlock()
-					if failed {
-						continue
-					}
-					if err := runJob(i); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-			}()
-		}
-		for i := range jobs {
-			jobc <- i
-		}
-		close(jobc)
-		wg.Wait()
-		err = firstErr
-	}
+	})
 	stats.Rows = rows.Load()
 	s.recordScan(stats)
 	if err != nil {
@@ -497,7 +395,6 @@ func (s *Store) recordScan(st ScanStats) {
 	m.scanBlocks.Add(int64(st.Blocks))
 	m.scanScanned.Add(int64(st.Scanned))
 	m.scanRows.Add(st.Rows)
-	m.scanFallback.Add(int64(st.FallbackMonths))
 	m.colsSkipped.Add(st.ColumnsSkipped)
 	for reason, n := range st.Pruned {
 		if c := m.pruned[reason]; c != nil {
@@ -506,42 +403,36 @@ func (s *Store) recordScan(st ScanStats) {
 	}
 }
 
-// runScanJob feeds one job's matching rows into pt, returning how
+// runScanJob feeds one block's matching rows into pt, returning how
 // many matched.
-func (s *Store) runScanJob(j scanJob, cq *compiledQuery, pt Partial) (int64, error) {
-	if j.bm != nil && blockVer(*j.bm) != FormatV1 {
-		if ver := blockVer(*j.bm); ver > s.maxFormat {
-			return 0, &FormatError{Path: j.path, Version: ver, Max: s.maxFormat}
+func (s *Store) runScanJob(j blockJob, cq *compiledQuery, pt Partial) (int64, error) {
+	if blockVer(j.bm) == FormatV1 {
+		// Full row decode + row-level filter.
+		rf := rowFeeder{cq: cq, pt: pt}
+		rf.rv.Month = j.month
+		if err := scanBlock(j.path, j.bm, s.maxFormat, rf.row); err != nil {
+			return rf.rows, err
 		}
-		f, err := os.Open(j.path)
-		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		defer f.Close()
-		payload, err := readBlockPayloadAt(f, j.path, *j.bm)
-		if err != nil {
-			return 0, err
-		}
-		defer bufpool.PutBlockBuf(payload)
-		n, err := scanColPushdown(payload, cq, j.month, pt)
-		if err != nil {
-			return n, fmt.Errorf("store: %s: block @%d: %w", j.path, j.bm.Offset, err)
-		}
-		return n, nil
+		return rf.rows, rf.err
 	}
-	// v1 block or unindexed month: full row decode + row-level filter.
-	rf := rowFeeder{cq: cq, pt: pt}
-	rf.rv.Month = j.month
-	var err error
-	if j.bm != nil {
-		err = scanBlock(j.path, *j.bm, s.maxFormat, rf.row)
-	} else {
-		err = s.scanPartition(j.path, rf.row, nil)
+	if ver := blockVer(j.bm); ver > s.maxFormat {
+		return 0, &FormatError{Path: j.path, Version: ver, Max: s.maxFormat}
 	}
+	f, err := os.Open(j.path)
 	if err != nil {
-		return rf.rows, err
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	return rf.rows, rf.err
+	defer f.Close()
+	payload, err := readBlockPayloadAt(f, j.path, j.bm)
+	if err != nil {
+		return 0, err
+	}
+	defer bufpool.PutBlockBuf(payload)
+	n, err := scanColPushdown(payload, cq, j.month, pt)
+	if err != nil {
+		return n, fmt.Errorf("store: %s: block @%d: %w", j.path, j.bm.Offset, err)
+	}
+	return n, nil
 }
 
 // rowFeeder adapts the decoded-row callbacks to the kernel: filter,

@@ -300,7 +300,7 @@ func TestZoneEdgeCases(t *testing.T) {
 		// pruned unconditionally, under its own reason.
 		cq := compileQuery(Query{})
 		bm := blockMeta{Rows: 0}
-		if got := cq.prunesBlock(&bm, 0, 0, 0, false, nil); got != PruneEmpty {
+		if got := cq.prunesBlock(&bm, 0, nil); got != PruneEmpty {
 			t.Fatalf("empty block pruned as %q, want %q", got, PruneEmpty)
 		}
 	})
@@ -360,88 +360,35 @@ func TestZoneEdgeCases(t *testing.T) {
 // bytes an earlier build left on disk.
 const goldenDirLegacyIdx = "testdata/golden-v2-legacy-idx"
 
-// TestLegacySidecarFallback pins the upgrade story: pre-zone sidecars
-// load, scans over them stay correct with zone pruning disabled
-// (Z == 0 entries claim nothing), ReindexWithStats upgrades them in
-// place, a second run is a no-op, and pruning works afterwards.
-func TestLegacySidecarFallback(t *testing.T) {
+// TestLegacySidecarUpgradedOnOpen pins the upgrade story: pre-zone
+// sidecars are not trusted — Open rebuilds both months fully zoned —
+// so scans prune from the first query on, and the sidecars the next
+// flush persists are byte-identical to the current writer's.
+func TestLegacySidecarUpgradedOnOpen(t *testing.T) {
 	dir := copyFixture(t, goldenDirLegacyIdx)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Indexed() {
-		t.Fatal("legacy-sidecar fixture opened unindexed")
-	}
-	for month, ver := range s.SidecarVersions() {
-		if ver != sidecarVerLegacy {
-			t.Fatalf("%s: sidecar version %d before upgrade, want %d", month, ver, sidecarVerLegacy)
-		}
+	s, _, rebuilds := openCounting(t, dir)
+	if rebuilds != 2 {
+		t.Fatalf("legacy-sidecar fixture: Open rebuilt %d indexes, want 2", rebuilds)
 	}
 
-	// Scans are correct without zones; nothing fingerprint-prunes, so
-	// a query for an absent file type still scans every block.
+	// Zones prune immediately: no block can hold an absent file type.
 	q := Query{FileTypes: []string{"definitely-absent"}, Cols: ColAll}
 	stats := checkScanAgainstNaive(t, s, q)
-	if stats.Pruned[PruneFileType] != 0 {
-		t.Fatalf("legacy sidecar fingerprint-pruned %d blocks with no zone data", stats.Pruned[PruneFileType])
-	}
-	if stats.Scanned == 0 {
-		t.Fatal("legacy scan scanned nothing")
+	if stats.Pruned[PruneFileType] == 0 || stats.Scanned != 0 {
+		t.Fatalf("rebuilt zones did not prune an absent file type: %+v", stats)
 	}
 	for _, q := range scanTestQueries() {
 		checkScanAgainstNaive(t, s, q)
 	}
 	if n, err := s.Verify(); err != nil || n != 24 {
-		t.Fatalf("Verify over legacy sidecars: %d, %v", n, err)
+		t.Fatalf("Verify over upgraded indexes: %d, %v", n, err)
 	}
 
-	// Upgrade in place; both months rebuild.
-	rs, err := s.ReindexWithStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Upgraded) != 2 || len(rs.Skipped) != 0 {
-		t.Fatalf("upgrade pass: %+v", rs)
-	}
-	for month, ver := range s.SidecarVersions() {
-		if ver != sidecarVerZones {
-			t.Fatalf("%s: sidecar version %d after upgrade, want %d", month, ver, sidecarVerZones)
-		}
-	}
-	// Idempotent: the second run skips everything.
-	rs, err = s.ReindexWithStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Upgraded) != 0 || len(rs.Skipped) != 2 {
-		t.Fatalf("second upgrade pass not a no-op: %+v", rs)
-	}
-	// Upgraded sidecars are byte-identical to the current fixture's.
-	for _, month := range s.Months() {
-		got, err := os.ReadFile(sidecarPath(dir, month))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(sidecarPath(goldenDirV2, month))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s: upgraded sidecar differs from the current writer's", month)
-		}
-	}
-
-	// Zones now prune.
-	stats = checkScanAgainstNaive(t, s, q)
-	if stats.Pruned[PruneFileType] == 0 {
-		t.Fatalf("upgraded sidecars pruned nothing: %+v", stats.Pruned)
-	}
-	for _, q := range scanTestQueries() {
-		checkScanAgainstNaive(t, s, q)
-	}
-	if n, err := s.Verify(); err != nil || n != 24 {
-		t.Fatalf("Verify after upgrade: %d, %v", n, err)
+	// The scans flushed; the persisted sidecars are the current
+	// fixture's, byte for byte, and a reopen trusts them.
+	checkSidecarsEqualV2Fixture(t, dir)
+	if _, _, rebuilds := openCounting(t, dir); rebuilds != 0 {
+		t.Fatalf("upgraded sidecars not trusted on reopen: %d rebuilds", rebuilds)
 	}
 }
 
@@ -531,7 +478,8 @@ func TestScanKernelAllocBudget(t *testing.T) {
 // FuzzScanPushdownDifferential drives random queries over random
 // stores in both block formats and demands Scan agree with the naive
 // IterAll filter row for row — the end-to-end contract of the whole
-// pushdown engine (pruning, projection, skipping, fallback).
+// pushdown engine (pruning, projection, skipping, v1 row decode, and
+// indexes rebuilt at Open).
 func FuzzScanPushdownDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(2))
 	f.Add(int64(2), uint8(1), int64(20), int64(55), uint8(1), uint8(2), uint8(1), true, uint8(3), uint8(1))
@@ -546,12 +494,22 @@ func FuzzScanPushdownDifferential(f *testing.F) {
 			opts = []Option{WithBlockSize(1 << 9)}
 		case 1:
 			opts = []Option{WithFormat(FormatV1), WithBlockSize(1 << 9)}
-		case 2: // mixed: v1 store migrated month-by-month would be all-v2;
-			// instead mix by writing v1 with a giant block size so the
-			// fallback per-month path runs alongside indexed months.
+		case 2: // legacy: the pre-sidecar shape — v1, one giant member
+			// per flush, no .idx files — reopened below so the scan runs
+			// over indexes Open rebuilt from the partition bytes.
 			opts = []Option{WithFormat(FormatV1), WithBlockSize(1 << 30)}
 		}
 		s := buildScanStore(t, envs, opts...)
+		if format%3 == 2 {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stripSidecars(t, s.dir)
+			var rebuilds int64
+			if s, _, rebuilds = openCounting(t, s.dir); rebuilds == 0 {
+				t.Fatal("sidecar-less store opened without rebuilding an index")
+			}
+		}
 		defer s.Close()
 
 		q := Query{Cols: ColAll, Workers: int(workers % 5)}
@@ -582,7 +540,7 @@ func FuzzScanPushdownDifferential(f *testing.F) {
 
 // TestScanLegacyFixtureSidecarBytes pins the committed legacy-sidecar
 // fixture itself: its .idx files must stay version-less (no zone
-// fields), or the fallback test above silently stops covering the
+// fields), or the upgrade test above silently stops covering the
 // legacy path.
 func TestScanLegacyFixtureSidecarBytes(t *testing.T) {
 	matches, err := filepath.Glob(filepath.Join(goldenDirLegacyIdx, "*.idx"))

@@ -21,9 +21,11 @@
 //	samples.jsonl.gz         latest metadata snapshot, written on Close
 //
 // Partition bytes remain a valid (multi-member) gzip stream, readable
-// by zcat and by pre-index builds of this package; the sidecar is
-// pure acceleration. Stores without sidecars open and read via the
-// full streaming scan; Reindex upgrades them in place.
+// by zcat and by pre-index builds of this package; the sidecar is a
+// cache of what those bytes say. Open rebuilds the in-memory index of
+// any month whose sidecar is missing, stale, torn, or pre-zone, and
+// the next Flush/Sync/Close persists it — so every month has one
+// shape, a complete block index, for as long as the store is open.
 //
 // Concurrency model: the sample index (metadata + month membership)
 // is hash-sharded with one mutex per shard, so concurrent Puts on
@@ -35,17 +37,15 @@
 // lock over a whole feed slice.
 //
 // Read path: Get consults each month's block index and decodes only
-// the members holding its sample (concurrently across months),
-// falling back to the streaming scan for unindexed months; decoded
-// histories are served from an LRU cache with singleflight decode
-// deduplication. Every caller gets a private History and Reports
+// the members holding its sample (concurrently across months);
+// decoded histories are served from an LRU cache with singleflight
+// decode deduplication. Every caller gets a private History and Reports
 // slice over shared, immutable *ScanReport elements (see Get).
-// IterAll fans blocks across a worker pool for full-store passes
-// (Verify, StatsByType).
+// Full-store passes (Scan, IterAll, Verify) plan per-block jobs from
+// the indexes and fan them across one worker pool.
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -94,21 +94,24 @@ type storeMetrics struct {
 	cacheEvictions *obs.Counter
 	dedup          *obs.Counter
 	indexedMonths  *obs.Counter
-	fallbackMonths *obs.Counter
 	blockDecodes   *obs.Counter
+	// indexRebuilds counts month indexes rebuilt from partition bytes:
+	// at Open for each sidecar it could not trust (0 after a clean
+	// shutdown), by a writer that finds bytes its index does not
+	// cover, and by Reindex.
+	indexRebuilds *obs.Counter
 
 	// Pushdown scan accounting (scan.go): every block a Scan considers
 	// is pruned for exactly one reason or scanned, so
 	// store_blocks_pruned_total summed over reasons +
 	// store_scan_blocks_scanned_total == store_scan_blocks_total —
 	// checked by the invariant suite.
-	scanCalls    *obs.Counter
-	scanBlocks   *obs.Counter
-	scanScanned  *obs.Counter
-	scanRows     *obs.Counter
-	scanFallback *obs.Counter
-	colsSkipped  *obs.Counter
-	pruned       map[string]*obs.Counter
+	scanCalls   *obs.Counter
+	scanBlocks  *obs.Counter
+	scanScanned *obs.Counter
+	scanRows    *obs.Counter
+	colsSkipped *obs.Counter
+	pruned      map[string]*obs.Counter
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -134,16 +137,15 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		cacheEvictions: reg.Counter("store_cache_evictions_total"),
 		dedup:          reg.Counter("store_singleflight_dedup_total"),
 		indexedMonths:  reg.Counter("store_get_indexed_months_total"),
-		fallbackMonths: reg.Counter("store_get_fallback_months_total"),
 		blockDecodes:   reg.Counter("store_block_decodes_total"),
+		indexRebuilds:  reg.Counter("store_index_rebuilds_total"),
 
-		scanCalls:    reg.Counter("store_scan_calls_total"),
-		scanBlocks:   reg.Counter("store_scan_blocks_total"),
-		scanScanned:  reg.Counter("store_scan_blocks_scanned_total"),
-		scanRows:     reg.Counter("store_scan_rows_total"),
-		scanFallback: reg.Counter("store_scan_fallback_months_total"),
-		colsSkipped:  reg.Counter("store_columns_skipped_total"),
-		pruned:       pruned,
+		scanCalls:   reg.Counter("store_scan_calls_total"),
+		scanBlocks:  reg.Counter("store_scan_blocks_total"),
+		scanScanned: reg.Counter("store_scan_blocks_scanned_total"),
+		scanRows:    reg.Counter("store_scan_rows_total"),
+		colsSkipped: reg.Counter("store_columns_skipped_total"),
+		pruned:      pruned,
 	}
 }
 
@@ -232,14 +234,14 @@ func withMaxFormat(v int) Option {
 
 // WithMetrics routes the store's instrumentation (puts, bytes raw and
 // compressed, cache hits/misses/evictions, singleflight dedups,
-// indexed-vs-fallback reads, block decodes) into reg instead of the
-// process-wide default registry.
+// indexed reads, block decodes, index rebuilds) into reg instead of
+// the process-wide default registry.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Store) { s.reg = reg }
 }
 
-// index returns the month's block index, or nil when the month is
-// served by the fallback streaming scan.
+// index returns the month's block index, or nil when the store holds
+// no partition for the month (yet).
 func (s *Store) index(month string) *partIndex {
 	s.imu.Lock()
 	defer s.imu.Unlock()
@@ -252,10 +254,46 @@ func (s *Store) setIndex(month string, ix *partIndex) {
 	s.imu.Unlock()
 }
 
-func (s *Store) dropIndex(month string) {
+// monthIndex pairs a partition key with its block index.
+type monthIndex struct {
+	month string
+	ix    *partIndex
+}
+
+// monthIndexes snapshots the month→index map in month order; a
+// non-empty only restricts it to that month. Every partition on disk
+// is in the map, so this — not the accounting's month list, which a
+// replicated stats snapshot can run ahead of — is what full-store
+// passes iterate.
+func (s *Store) monthIndexes(only string) []monthIndex {
 	s.imu.Lock()
-	delete(s.indexes, month)
+	out := make([]monthIndex, 0, len(s.indexes))
+	for month, ix := range s.indexes {
+		if only == "" || only == month {
+			out = append(out, monthIndex{month, ix})
+		}
+	}
 	s.imu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].month < out[j].month })
+	return out
+}
+
+// rebuildIndex re-derives a month's block index from its partition
+// bytes and installs it dirty, so the next Flush/Sync/Close persists a
+// fresh sidecar. It is strict: bytes that do not decode to whole
+// members are an error, never a truncation (that is RepairDir's job).
+func (s *Store) rebuildIndex(month string) (*partIndex, error) {
+	ix, _, torn, err := indexPartition(s.partPath(month), s.maxFormat)
+	if err == nil {
+		err = torn
+	}
+	if err != nil {
+		return nil, err
+	}
+	ix.dirty = true
+	s.setIndex(month, ix)
+	s.m.indexRebuilds.Inc()
+	return ix, nil
 }
 
 // partPath names a month's partition file.
@@ -372,9 +410,7 @@ type partWriter struct {
 	blockSize int
 	// format is the block format this writer's cuts produce.
 	format int
-	// idx is the month's block index, nil when the month predates the
-	// sidecar format (then new blocks go unindexed and the month keeps
-	// using the fallback scan until Reindex).
+	// idx is the month's block index; it covers every byte below base.
 	idx *partIndex
 	// m is the owning store's metrics (blocks cut, compressed bytes).
 	m *storeMetrics
@@ -561,19 +597,17 @@ func (w *partWriter) commitBlockLocked(pb *pendingBlock) error {
 	end := w.base + w.counter.n
 	w.m.blocksCut.Inc()
 	w.m.storedBytes.Add(end - start)
-	if w.idx != nil {
-		bm := blockMeta{
-			Offset: start,
-			Len:    end - start,
-			Rows:   pb.rows,
-			Raw:    pb.rawBytes,
-		}
-		if w.format != FormatV1 {
-			bm.Ver = w.format
-		}
-		bm.setZone(pb.zone)
-		w.idx.appendBlock(bm, pb.shas)
+	bm := blockMeta{
+		Offset: start,
+		Len:    end - start,
+		Rows:   pb.rows,
+		Raw:    pb.rawBytes,
 	}
+	if w.format != FormatV1 {
+		bm.Ver = w.format
+	}
+	bm.setZone(pb.zone)
+	w.idx.appendBlock(bm, pb.shas)
 	// appendBlock folds the posting counts into the index without
 	// retaining the map, so the block's sha map recycles here — the
 	// committed block no longer sits in the queue pendingSHALocked
@@ -675,8 +709,11 @@ func Open(dir string, opts ...Option) (*Store, error) {
 
 // load rebuilds the in-memory index from existing partition files.
 // Months with a valid sidecar load from it directly (no decompression
-// at all); the rest are streamed row by row as before — that is the
-// pre-sidecar fallback path, and it leaves the month unindexed.
+// at all); the rest — sidecar missing, stale, torn, or pre-zone — are
+// re-indexed from their gzip members, which costs one pass over the
+// month and is made good on disk by the next Flush/Sync/Close. Either
+// way the month ends up with a complete block index. A partition with
+// a torn tail is an error here; only RepairDir truncates.
 // load runs before the store is shared, so it takes no locks.
 func (s *Store) load() error {
 	entries, err := os.ReadDir(s.dir)
@@ -710,17 +747,12 @@ func (s *Store) load() error {
 		}
 		if ok {
 			s.indexes[month] = ix
-			st.Reports, st.RawBytes = ix.totals()
-			for _, sha := range ix.sampleSHAs() {
-				addMonth(sha, month)
-			}
-		} else if err := s.scanPartition(path, func(row scanRow) {
-			addMonth(row.SHA, month)
-		}, func(rows int, raw int64) {
-			st.Reports += rows
-			st.RawBytes += raw
-		}); err != nil {
+		} else if ix, err = s.rebuildIndex(month); err != nil {
 			return err
+		}
+		st.Reports, st.RawBytes = ix.totals()
+		for _, sha := range ix.sampleSHAs() {
+			addMonth(sha, month)
 		}
 		st.StoredBytes = size
 		s.stats[month] = st
@@ -1047,20 +1079,20 @@ func (s *Store) writer(month string) (*partWriter, error) {
 	// Attach the month's block index. A fresh partition starts one; an
 	// existing partition continues its index only if that index covers
 	// every byte already on disk — otherwise new blocks would produce a
-	// sidecar with holes, so the month stays on the fallback streaming
-	// scan until Reindex rebuilds it.
+	// sidecar with holes, so bytes that arrived behind the index's back
+	// are indexed first, by the same rebuild Open runs.
 	ix := s.index(month)
 	switch {
-	case ix != nil && ix.fileSize == base:
-		w.idx = ix
 	case ix == nil && base == 0:
-		w.idx = newPartIndex()
-		s.setIndex(month, w.idx)
-	default:
-		if ix != nil {
-			s.dropIndex(month)
+		ix = newPartIndex()
+		s.setIndex(month, ix)
+	case ix == nil || ix.fileSize != base:
+		if ix, err = s.rebuildIndex(month); err != nil {
+			f.Close()
+			return nil, err
 		}
 	}
+	w.idx = ix
 	s.writers[month] = w
 	return w, nil
 }
@@ -1142,21 +1174,12 @@ func (s *Store) Sync() error {
 	return s.writeSnapshots()
 }
 
-// writeSidecars persists every index that has grown since its sidecar
-// was last written.
+// writeSidecars persists every index its sidecar is behind — grown by
+// a block, rebuilt at Open, or left dirty by a failed earlier write.
 func (s *Store) writeSidecars() error {
-	s.imu.Lock()
-	months := make([]string, 0, len(s.indexes))
-	for month := range s.indexes {
-		months = append(months, month)
-	}
-	s.imu.Unlock()
-	sort.Strings(months)
-	for _, month := range months {
-		if ix := s.index(month); ix != nil {
-			if err := ix.writeSidecar(s.dir, month); err != nil {
-				return err
-			}
+	for _, mi := range s.monthIndexes("") {
+		if err := mi.ix.writeSidecar(s.dir, mi.month); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1243,11 +1266,10 @@ func (s *Store) snapshotSamples() map[string]report.SampleMeta {
 	return out
 }
 
-// Get returns the sample's full history. Indexed months are read by
-// seeking straight to the few blocks holding the sample (months are
-// scanned concurrently); unindexed months fall back to the full
-// streaming scan. Rows still sitting in a write buffer are cut to
-// disk first, so a Get after Put always sees the written rows.
+// Get returns the sample's full history, read by seeking straight to
+// the few blocks of each month that hold the sample (months are
+// scanned concurrently). Rows still sitting in a write buffer are cut
+// to disk first, so a Get after Put always sees the written rows.
 //
 // Results are served through the history cache when enabled. The
 // returned History and its Reports slice are the caller's (reorder,
@@ -1333,69 +1355,57 @@ func (s *Store) getUncached(sha string) (*report.History, error) {
 	return h, nil
 }
 
-// readMonthRows returns the sample's rows from one month, via the
-// block index when present, else the full streaming scan.
+// readMonthRows returns the sample's rows from one month by decoding
+// only the blocks the month's posting list names.
 func (s *Store) readMonthRows(month, sha string) ([]*report.ScanReport, error) {
-	path := s.partPath(month)
-	var out []*report.ScanReport
-	if ix := s.index(month); ix != nil {
-		s.m.indexedMonths.Inc()
-		blocks := ix.blocksFor(sha)
-		if len(blocks) == 0 {
-			return nil, nil
-		}
-		s.m.blockDecodes.Add(int64(len(blocks)))
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		defer f.Close()
-		var row scanRow
-		for _, bm := range blocks {
-			switch ver := blockVer(bm); {
-			case ver == FormatV1:
-				if err := scanBlockLinesAt(f, path, bm, func(line []byte) error {
-					// A block holds many samples; skip full decodes for
-					// other samples' rows by peeking at the leading "s" key
-					// (always first in canonical encoder output).
-					if got, ok := rowSHA(line); ok && string(got) != sha {
-						return nil
-					}
-					if err := decodeScanRow(line, &row); err != nil {
-						return err
-					}
-					if row.SHA == sha {
-						out = append(out, rowToReport(row))
-					}
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-			case ver <= s.maxFormat:
-				payload, err := readBlockPayloadAt(f, path, bm)
-				if err != nil {
-					return nil, err
-				}
-				rows, err := columnarRowsFor(payload, sha)
-				bufpool.PutBlockBuf(payload)
-				if err != nil {
-					return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-				}
-				out = append(out, rows...)
-			default:
-				return nil, &FormatError{Path: path, Version: ver, Max: s.maxFormat}
-			}
-		}
-		return out, nil
+	s.m.indexedMonths.Inc()
+	blocks := s.index(month).blocksFor(sha)
+	if len(blocks) == 0 {
+		return nil, nil
 	}
-	s.m.fallbackMonths.Inc()
-	err := s.scanPartition(path, func(row scanRow) {
-		if row.SHA == sha {
-			out = append(out, rowToReport(row))
-		}
-	}, nil)
+	s.m.blockDecodes.Add(int64(len(blocks)))
+	path := s.partPath(month)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	var out []*report.ScanReport
+	var row scanRow
+	for _, bm := range blocks {
+		switch ver := blockVer(bm); {
+		case ver == FormatV1:
+			if err := scanBlockLinesAt(f, path, bm, func(line []byte) error {
+				// A block holds many samples; skip full decodes for
+				// other samples' rows by peeking at the leading "s" key
+				// (always first in canonical encoder output).
+				if got, ok := rowSHA(line); ok && string(got) != sha {
+					return nil
+				}
+				if err := decodeScanRow(line, &row); err != nil {
+					return err
+				}
+				if row.SHA == sha {
+					out = append(out, rowToReport(row))
+				}
+				return nil
+			}); err != nil {
+				return nil, err
+			}
+		case ver <= s.maxFormat:
+			payload, err := readBlockPayloadAt(f, path, bm)
+			if err != nil {
+				return nil, err
+			}
+			rows, err := columnarRowsFor(payload, sha)
+			bufpool.PutBlockBuf(payload)
+			if err != nil {
+				return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
+			}
+			out = append(out, rows...)
+		default:
+			return nil, &FormatError{Path: path, Version: ver, Max: s.maxFormat}
+		}
 	}
 	return out, nil
 }
@@ -1420,173 +1430,52 @@ func rowToReport(row scanRow) *report.ScanReport {
 	return r
 }
 
-// scanPartition streams rows of a partition file member by member,
-// dispatching each gzip member on its sniffed payload format. rowFn
-// (optional) receives every decoded row; the row is reused across
-// calls — every decoded string is owned (cloned or interned) and
-// rowFn's callers copy what they keep via rowToReport, so only the
-// Res backing array is shared, and it is overwritten, never appended
-// to, between calls. acctFn (optional) receives each member's row
-// count and raw (v1-line) byte total for load-time accounting.
-func (s *Store) scanPartition(path string, rowFn func(row scanRow), acctFn func(rows int, raw int64)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	br := bufpool.GetBufioReader(f)
-	defer bufpool.PutBufioReader(br)
-	gz, err := bufpool.GetGzipReader(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) { // empty partition file
-			return nil
-		}
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	defer bufpool.PutGzipReader(gz)
-	defer gz.Close()
-	sbuf := bufpool.GetScanBuf()
-	defer bufpool.PutScanBuf(sbuf)
-	// mr buffers each member's decompressed bytes for the format sniff.
-	mr := bufio.NewReaderSize(nil, 32<<10)
-	var row scanRow
-	for {
-		gz.Multistream(false)
-		mr.Reset(gz)
-		head, _ := mr.Peek(len(colMagic) + 1)
-		switch ver := sniffVersion(head); {
-		case ver == FormatV1:
-			sc := bufio.NewScanner(mr)
-			sc.Buffer(sbuf, 16<<20)
-			rows, raw := 0, int64(0)
-			for sc.Scan() {
-				if err := decodeScanRow(sc.Bytes(), &row); err != nil {
-					return fmt.Errorf("store: %s: %w", path, err)
-				}
-				rows++
-				raw += int64(len(sc.Bytes()))
-				if rowFn != nil {
-					rowFn(row)
-				}
-			}
-			if err := sc.Err(); err != nil {
-				return fmt.Errorf("store: %s: %w", path, err)
-			}
-			if acctFn != nil {
-				acctFn(rows, raw)
-			}
-		case ver <= s.maxFormat:
-			payload, err := io.ReadAll(mr)
-			if err != nil {
-				return fmt.Errorf("store: %s: %w", path, err)
-			}
-			want := wantAllDicts
-			if rowFn == nil {
-				want = 0 // accounting only — the header alone suffices
-			}
-			cb, err := parseColumnarBlock(payload, want)
-			if err != nil {
-				return fmt.Errorf("store: %s: %w", path, err)
-			}
-			if rowFn != nil {
-				if err := cb.forEachRow(func(r *scanRow) error {
-					rowFn(*r)
-					return nil
-				}); err != nil {
-					return fmt.Errorf("store: %s: %w", path, err)
-				}
-			}
-			if acctFn != nil {
-				acctFn(cb.rows, cb.raw)
-			}
-		default:
-			return &FormatError{Path: path, Version: ver, Max: s.maxFormat}
-		}
-		if err := gz.Reset(br); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("store: %s: %w", path, err)
-		}
-	}
-}
-
-// IterReports streams every report in a month partition in storage
-// order.
-func (s *Store) IterReports(month string, fn func(*report.ScanReport) error) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	path := s.partPath(month)
-	var inner error
-	err := s.scanPartition(path, func(row scanRow) {
-		if inner != nil {
-			return
-		}
-		inner = fn(rowToReport(row))
-	}, nil)
-	if err != nil {
-		return err
-	}
-	return inner
-}
-
-// iterJob is one unit of an IterAll pass: a single block of an
-// indexed month, or a whole unindexed month streamed end to end.
-type iterJob struct {
+// blockJob is one committed block of one month — the unit every
+// full-store pass (Scan, IterAll/IterReports, Verify's index check)
+// schedules.
+type blockJob struct {
 	month string
 	path  string
-	block *blockMeta
+	seq   int
+	bm    blockMeta
 }
 
-// IterAll streams every report in the store through fn, fanning
-// partition blocks across a pool of workers (workers <= 0 uses
-// GOMAXPROCS; 1 iterates serially in storage order). It flushes
-// first, like IterReports. With workers > 1, fn is called from
-// multiple goroutines concurrently and no ordering is guaranteed —
-// fn must be safe for concurrent use. The first error stops the
-// pass.
-func (s *Store) IterAll(workers int, fn func(month string, r *report.ScanReport) error) error {
-	return s.forEachJob(workers, func(j iterJob) error {
-		return s.runIterJob(j, fn)
-	})
-}
-
-// forEachJob flushes, slices the store into per-block (or per-month,
-// when unindexed) jobs, and fans them across a worker pool. run is
-// called from multiple goroutines when workers > 1; the first error
-// stops the pass.
-func (s *Store) forEachJob(workers int, run func(iterJob) error) error {
-	if err := s.Flush(); err != nil {
-		return err
+// planBlocks is the one planner behind every full-store pass. It walks
+// the indexed months in storage order (month ascending; a non-empty
+// only restricts the walk to that month), snapshots each month's block
+// list, and schedules the blocks pick keeps, in block-sequence order.
+// pick runs once per month — where a pass does its per-month work
+// (posting lookups, tiling checks) — and returns that month's
+// per-block filter.
+func (s *Store) planBlocks(only string, pick func(mi monthIndex, blocks []blockMeta) (keep func(seq int) bool)) []blockJob {
+	var jobs []blockJob
+	for _, mi := range s.monthIndexes(only) {
+		blocks := mi.ix.snapshotBlocks()
+		keep := pick(mi, blocks)
+		path := s.partPath(mi.month)
+		for seq, bm := range blocks {
+			if keep(seq) {
+				jobs = append(jobs, blockJob{month: mi.month, path: path, seq: seq, bm: bm})
+			}
+		}
 	}
+	return jobs
+}
+
+// runJobs is the one worker pool: it calls run(0..n-1) from up to
+// workers goroutines (<= 0 uses GOMAXPROCS; 1, or a single job, runs
+// serially in index order) and returns the first error, after which
+// no further job starts.
+func runJobs(workers, n int, run func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var jobs []iterJob
-	for _, month := range s.Months() {
-		path := s.partPath(month)
-		if ix := s.index(month); ix != nil {
-			for _, bm := range ix.snapshotBlocks() {
-				if bm.Rows == 0 {
-					continue
-				}
-				bm := bm
-				jobs = append(jobs, iterJob{month: month, path: path, block: &bm})
-			}
-		} else {
-			jobs = append(jobs, iterJob{month: month, path: path})
-		}
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, j := range jobs {
-			if err := run(j); err != nil {
+		for i := 0; i < n; i++ {
+			if err := run(i); err != nil {
 				return err
 			}
 		}
@@ -1597,163 +1486,104 @@ func (s *Store) forEachJob(workers int, run func(iterJob) error) error {
 		mu       sync.Mutex
 		firstErr error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	jobc := make(chan iterJob)
+	jobc := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobc {
-				if failed() {
+			for i := range jobc {
+				mu.Lock()
+				failed := firstErr != nil
+				mu.Unlock()
+				if failed {
 					continue
 				}
-				if err := run(j); err != nil {
-					fail(err)
+				if err := run(i); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
 				}
 			}
 		}()
 	}
-	for _, j := range jobs {
-		jobc <- j
+	for i := 0; i < n; i++ {
+		jobc <- i
 	}
 	close(jobc)
 	wg.Wait()
 	return firstErr
 }
 
-// runIterJob streams one job's rows through fn.
-func (s *Store) runIterJob(j iterJob, fn func(month string, r *report.ScanReport) error) error {
-	var inner error
-	handle := func(row scanRow) {
-		if inner != nil {
-			return
-		}
-		inner = fn(j.month, rowToReport(row))
-	}
-	var err error
-	if j.block != nil {
-		err = scanBlock(j.path, *j.block, s.maxFormat, handle)
-	} else {
-		err = s.scanPartition(j.path, handle, nil)
-	}
-	if err != nil {
+// IterReports streams every report in a month partition in storage
+// order.
+func (s *Store) IterReports(month string, fn func(*report.ScanReport) error) error {
+	return s.iterBlocks(month, 1, func(_ string, r *report.ScanReport) error { return fn(r) })
+}
+
+// IterAll streams every report in the store through fn, fanning
+// partition blocks across a pool of workers (workers <= 0 uses
+// GOMAXPROCS; 1 iterates serially in storage order). It flushes
+// first, like IterReports. With workers > 1, fn is called from
+// multiple goroutines concurrently and no ordering is guaranteed —
+// fn must be safe for concurrent use. The first error stops the
+// pass.
+func (s *Store) IterAll(workers int, fn func(month string, r *report.ScanReport) error) error {
+	return s.iterBlocks("", workers, fn)
+}
+
+// iterBlocks flushes, plans every non-empty block (of one month, or
+// of the whole store), and materializes each block's rows as reports
+// for fn on the worker pool.
+func (s *Store) iterBlocks(only string, workers int, fn func(month string, r *report.ScanReport) error) error {
+	if err := s.Flush(); err != nil {
 		return err
 	}
-	return inner
+	jobs := s.planBlocks(only, func(_ monthIndex, blocks []blockMeta) func(int) bool {
+		return func(seq int) bool { return blocks[seq].Rows > 0 }
+	})
+	return runJobs(workers, len(jobs), func(i int) error {
+		j := jobs[i]
+		var inner error
+		err := scanBlock(j.path, j.bm, s.maxFormat, func(row scanRow) {
+			if inner == nil {
+				inner = fn(j.month, rowToReport(row))
+			}
+		})
+		if err != nil {
+			return err
+		}
+		return inner
+	})
 }
 
 // Reindex rebuilds every partition's block index by re-walking its
-// gzip members, and persists fresh sidecars — upgrading pre-sidecar
-// stores (and healing stale sidecars) in place. Partitions written
-// before block compression existed get one block per historical
-// flush, which still lets Get skip every member without its sample.
+// gzip members, and persists fresh sidecars — the unconditional repair
+// for sidecars Open accepted but Verify disproves (ErrIndexMismatch).
+// Open already rebuilds whatever it cannot trust, so after a crash
+// this is rarely needed. Partitions written before block compression
+// existed get one block per historical flush, which still lets Get
+// skip every member without its sample.
 func (s *Store) Reindex() error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
-	for _, month := range s.Months() {
-		if err := s.reindexMonth(month); err != nil {
+	for _, mi := range s.monthIndexes("") {
+		ix, err := s.rebuildIndex(mi.month)
+		if err != nil {
+			return err
+		}
+		if err := ix.writeSidecar(s.dir, mi.month); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// reindexMonth rebuilds and persists one month's sidecar.
-func (s *Store) reindexMonth(month string) error {
-	ix, err := indexPartitionFile(s.partPath(month), s.maxFormat)
-	if err != nil {
-		return err
-	}
-	ix.dirty = true
-	s.setIndex(month, ix)
-	return ix.writeSidecar(s.dir, month)
-}
-
-// ReindexStats summarizes one ReindexWithStats pass.
-type ReindexStats struct {
-	// Upgraded lists the months whose sidecars were rebuilt — missing,
-	// stale (rejected at Open), or lacking zone maps.
-	Upgraded []string
-	// Skipped lists the months left untouched: their sidecar was
-	// accepted at Open (size-matched the partition) and every block
-	// entry already carries a zone map.
-	Skipped []string
-}
-
-// ReindexWithStats upgrades sidecars in place, skipping months that
-// are already current — which makes it idempotent: a second run
-// skips everything the first upgraded. `vtstore reindex` runs this;
-// Reindex keeps its unconditional rebuild-everything semantics for
-// repair paths that must not trust the in-memory index.
-func (s *Store) ReindexWithStats() (ReindexStats, error) {
-	var rs ReindexStats
-	if err := s.Flush(); err != nil {
-		return rs, err
-	}
-	for _, month := range s.Months() {
-		if ix := s.index(month); ix != nil && ix.fullyZoned() {
-			rs.Skipped = append(rs.Skipped, month)
-			continue
-		}
-		if err := s.reindexMonth(month); err != nil {
-			return rs, err
-		}
-		rs.Upgraded = append(rs.Upgraded, month)
-	}
-	return rs, nil
-}
-
-// SidecarVersions reports each month's effective sidecar state:
-// 0 = no usable sidecar (missing or stale), 2 = loaded but pre-zone
-// (legacy entries without zone maps), 3 = fully zone-mapped. The
-// `vtstore verify` report surfaces this so operators can see which
-// partitions still scan un-pruned.
-func (s *Store) SidecarVersions() map[string]int {
-	out := make(map[string]int)
-	for _, month := range s.Months() {
-		ix := s.index(month)
-		switch {
-		case ix == nil:
-			out[month] = 0
-		case ix.fullyZoned():
-			out[month] = sidecarVerZones
-		default:
-			out[month] = sidecarVerLegacy
-		}
-	}
-	return out
-}
-
 // CachedHistories reports how many decoded histories the read cache
 // currently holds (0 when the cache is disabled).
 func (s *Store) CachedHistories() int { return s.cache.len() }
-
-// Indexed reports whether every partition has a block index, i.e.
-// Get is served by block seeks rather than full partition scans. A
-// store that predates the sidecar format reports false until Reindex.
-func (s *Store) Indexed() bool {
-	months := s.Months()
-	s.imu.Lock()
-	defer s.imu.Unlock()
-	for _, m := range months {
-		if s.indexes[m] == nil {
-			return false
-		}
-	}
-	return true
-}
 
 // Months returns the partition keys present, sorted.
 func (s *Store) Months() []string {
@@ -1845,7 +1675,7 @@ func (s *Store) StatsByType() (map[string]TypeStats, error) {
 // projecting only the file-type column: v2 blocks decode one
 // dictionary and one segment — no row materialization, no result
 // decoding — and empty blocks are pruned without decompression; v1
-// blocks fall back to full row decodes as before.
+// blocks take full row decodes, the only way to read them.
 func (s *Store) StatsByTypeWorkers(workers int) (map[string]TypeStats, error) {
 	out := map[string]TypeStats{}
 	for _, meta := range s.snapshotSamples() {
@@ -1945,38 +1775,27 @@ func (p *verifyPartial) Row(rv *RowView) error {
 // from the partition bytes.
 var ErrIndexMismatch = errors.New("store: block index disagrees with partition payload")
 
-// verifyBlockIndexes cross-checks every indexed month's in-memory
-// block index (which mirrors the sidecar) against the partition
-// payloads: blocks must tile the file exactly, and each block's
-// claimed rows, raw bytes, version, and posting membership must match
-// what its payload actually decodes to. This is what lets `vtstore
-// verify` vouch for a replica: a follower whose sidecars pass this
-// and whose partitions hash equal to the leader's is a true replica.
+// verifyBlockIndexes cross-checks every month's in-memory block index
+// (which mirrors the sidecar) against the partition payloads: blocks
+// must tile the file exactly, and each block's claimed rows, raw
+// bytes, version, zone map, and posting membership must match what its
+// payload actually decodes to. This is what lets `vtstore verify`
+// vouch for a replica: a follower whose sidecars pass this and whose
+// partitions hash equal to the leader's is a true replica.
 func (s *Store) verifyBlockIndexes(workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type blockJob struct {
-		month string
-		path  string
-		seq   int
-		bm    blockMeta
-		want  map[string]bool
-	}
-	var jobs []blockJob
-	for _, month := range s.Months() {
-		ix := s.index(month)
-		if ix == nil {
-			continue
-		}
-		path := s.partPath(month)
+	// want[i] is the sample set job i's postings claim for its block;
+	// planErr is the first month whose index fails the structural checks.
+	var (
+		want    []map[string]bool
+		planErr error
+	)
+	checkMonth := func(month string, ix *partIndex, blocks []blockMeta) error {
 		var size int64
-		if fi, err := os.Stat(path); err == nil {
+		if fi, err := os.Stat(s.partPath(month)); err == nil {
 			size = fi.Size()
 		} else if !os.IsNotExist(err) {
 			return fmt.Errorf("store: %w", err)
 		}
-		blocks := ix.snapshotBlocks()
 		var off int64
 		for seq, bm := range blocks {
 			if bm.Offset != off || bm.Len <= 0 {
@@ -1987,23 +1806,32 @@ func (s *Store) verifyBlockIndexes(workers int) error {
 		if off != size {
 			return fmt.Errorf("%w: %s index covers %d bytes, partition holds %d", ErrIndexMismatch, month, off, size)
 		}
-		want := make([]map[string]bool, len(blocks))
+		named := make([]map[string]bool, len(blocks))
 		for sha, ids := range ix.snapshotPostings() {
 			for _, id := range ids {
 				if id < 0 || id >= len(blocks) {
 					return fmt.Errorf("%w: %s posting for %s names block %d of %d", ErrIndexMismatch, month, sha, id, len(blocks))
 				}
-				if want[id] == nil {
-					want[id] = make(map[string]bool)
+				if named[id] == nil {
+					named[id] = make(map[string]bool)
 				}
-				want[id][sha] = true
+				named[id][sha] = true
 			}
 		}
-		for seq, bm := range blocks {
-			jobs = append(jobs, blockJob{month: month, path: path, seq: seq, bm: bm, want: want[seq]})
-		}
+		want = append(want, named...)
+		return nil
 	}
-	check := func(j blockJob) error {
+	jobs := s.planBlocks("", func(mi monthIndex, blocks []blockMeta) func(int) bool {
+		if planErr == nil {
+			planErr = checkMonth(mi.month, mi.ix, blocks)
+		}
+		return func(int) bool { return planErr == nil }
+	})
+	if planErr != nil {
+		return planErr
+	}
+	return runJobs(workers, len(jobs), func(i int) error {
+		j, want := jobs[i], want[i]
 		f, err := os.Open(j.path)
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
@@ -2014,79 +1842,33 @@ func (s *Store) verifyBlockIndexes(workers int) error {
 			return err
 		}
 		defer bufpool.PutBlockBuf(payload)
-		sum, err := analyzePayload(payload, s.maxFormat)
-		if err != nil {
-			var fe *FormatError
-			if errors.As(err, &fe) {
-				return &FormatError{Path: j.path, Version: fe.Version, Max: fe.Max}
-			}
+		sum, err := analyzePayload(j.path, payload, s.maxFormat)
+		switch {
+		case errors.Is(err, ErrUnsupportedFormat):
+			return err
+		case err != nil:
 			return fmt.Errorf("%w: %s block %d payload: %v", ErrIndexMismatch, j.month, j.seq, err)
 		}
 		if sum.ver != blockVer(j.bm) || sum.rows != j.bm.Rows || sum.raw != j.bm.Raw {
 			return fmt.Errorf("%w: %s block %d is v%d/%d rows/%d raw, sidecar says v%d/%d/%d",
 				ErrIndexMismatch, j.month, j.seq, sum.ver, sum.rows, sum.raw, blockVer(j.bm), j.bm.Rows, j.bm.Raw)
 		}
-		// Zone maps are pure functions of the payload, so a zoned entry
-		// must equal the recomputed zone exactly; pre-zone entries
-		// (Z == 0, legacy sidecars) claim nothing and are exempt.
-		if j.bm.Z != 0 && sum.zone != j.bm.zone() {
+		// Zone maps are pure functions of the payload, so the entry's
+		// zone must equal the recomputed one exactly.
+		if sum.zone != j.bm.zone() {
 			return fmt.Errorf("%w: %s block %d zone map disagrees with payload (sidecar %+v, payload %+v)",
 				ErrIndexMismatch, j.month, j.seq, j.bm.zone(), sum.zone)
 		}
-		if len(sum.shas) != len(j.want) {
+		if len(sum.shas) != len(want) {
 			return fmt.Errorf("%w: %s block %d holds %d samples, postings name %d",
-				ErrIndexMismatch, j.month, j.seq, len(sum.shas), len(j.want))
+				ErrIndexMismatch, j.month, j.seq, len(sum.shas), len(want))
 		}
 		for sha := range sum.shas {
-			if !j.want[sha] {
+			if !want[sha] {
 				return fmt.Errorf("%w: %s block %d holds %s, which its postings do not name",
 					ErrIndexMismatch, j.month, j.seq, sha)
 			}
 		}
 		return nil
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if err := check(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobc := make(chan blockJob)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobc {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					continue
-				}
-				if err := check(j); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobc <- j
-	}
-	close(jobc)
-	wg.Wait()
-	return firstErr
+	})
 }

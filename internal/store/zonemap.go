@@ -12,20 +12,22 @@
 // guaranteed-safe skip.
 //
 // The non-negotiable invariant is that a zone map is a PURE FUNCTION
-// of the block's payload rows. Five code paths compute zones — the v2
+// of the block's payload rows. Four code paths compute zones — the v2
 // write path (colBuilder), the v1 write path (partWriter's zoneAcc),
-// Reindex (indexPartitionFile), replication apply / repair
-// (analyzePayload), and migration (rewriteMonth) — and all of them
-// must produce bit-identical results, because leader and follower
-// sidecars are compared byte-for-byte by the replication parity suite,
+// every payload recompute (analyzePayload: index rebuilds at Open and
+// Reindex, replication apply, repair, Verify), and migration
+// (rewriteMonth) — and all of them must produce bit-identical results,
+// because leader and follower sidecars are compared byte-for-byte by
+// the replication parity suite,
 // and Verify cross-checks every sidecar zone against a payload
 // recompute. All paths therefore share the accumulation and hashing
 // helpers below and hash the same normalized (validUTF8) strings the
 // row codecs store.
 //
-// Sidecar entries written before zone maps carry Z == 0 ("no zone"):
-// readers never prune on them, so legacy sidecars stay loadable and
-// merely scan more. `vtstore reindex` upgrades them in place.
+// Sidecar entries written before zone maps carry Z == 0 ("no zone").
+// Open does not load such a sidecar: it rebuilds the month's index
+// from the partition bytes, zones included, so every entry a reader
+// sees can be pruned on.
 package store
 
 import "vtdynamics/internal/report"
@@ -200,7 +202,7 @@ func zoneOfColBlock(cb *colBlock) (blockZone, error) {
 
 // setZone records a computed zone on a sidecar block entry. Z == 1
 // marks the zone fields as present (and trustworthy for pruning);
-// entries from pre-zone sidecars keep Z == 0 and are never pruned.
+// pre-zone sidecar entries lack it, which is how loadSidecar tells.
 func (bm *blockMeta) setZone(z blockZone) {
 	bm.Z = 1
 	bm.TMin, bm.TMax = z.tmin, z.tmax

@@ -158,7 +158,7 @@ func (l *Leader) handleBlocks(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, store.ErrUnknownBlock):
 		http.Error(w, "cursor ahead of leader", http.StatusConflict)
 		return
-	case errors.Is(err, store.ErrNotIndexed):
+	case errors.Is(err, store.ErrUnknownMonth):
 		http.Error(w, "unknown month", http.StatusNotFound)
 		return
 	case err != nil:

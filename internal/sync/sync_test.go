@@ -213,13 +213,15 @@ func TestBackfillParity(t *testing.T) {
 				t.Fatalf("cursor lag %d after catch-up", lag)
 			}
 
-			// The replica must also be a working store.
-			rst, err := store.Open(followerDir)
+			// The replica must also be a working store whose sidecars
+			// Open trusts as the follower left them.
+			rreg := obs.NewRegistry()
+			rst, err := store.Open(followerDir, store.WithMetrics(rreg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rst.Indexed() {
-				t.Fatal("replica not indexed")
+			if n := rreg.SumCounters("store_index_rebuilds_total"); n != 0 {
+				t.Fatalf("replica rebuilt %d indexes at Open", n)
 			}
 			if _, err := rst.Verify(); err != nil {
 				t.Fatalf("replica verify: %v", err)
@@ -468,4 +470,97 @@ func TestEmptyLeaderConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertParity(t, leaderDir, followerDir)
+}
+
+// TestLeaderWithBadSidecarsReplicatesEveryMonth is the regression test
+// for the replication hole: a leader opened on a store whose sidecar
+// was lost, or is older than the partition it describes (a kill
+// between a block commit and the sidecar write), must still list every
+// month on disk in its manifest — Open rebuilds the index — so a
+// follower converges to file-for-file parity instead of silently
+// "converging" without the month.
+func TestLeaderWithBadSidecarsReplicatesEveryMonth(t *testing.T) {
+	const month = "2021-05"
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, dir string, early []byte)
+	}{
+		{"sidecar deleted", func(t *testing.T, dir string, _ []byte) {
+			if err := os.Remove(filepath.Join(dir, "scans-"+month+".idx")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"partition grown behind the sidecar", func(t *testing.T, dir string, early []byte) {
+			if err := os.WriteFile(filepath.Join(dir, "scans-"+month+".idx"), early, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			leaderDir := t.TempDir()
+			st, err := store.Open(leaderDir, store.WithBlockSize(2<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillStore(t, st, "hole", 20, 0)
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			// The sidecar as of this checkpoint — stale once more blocks land.
+			early, err := os.ReadFile(filepath.Join(leaderDir, "scans-"+month+".idx"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillStore(t, st, "hole", 20, 20)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(t, leaderDir, early)
+
+			lreg := obs.NewRegistry()
+			lst, err := store.Open(leaderDir, store.WithMetrics(lreg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := lreg.SumCounters("store_index_rebuilds_total"); n != 1 {
+				t.Fatalf("leader rebuilt %d indexes at Open, want 1", n)
+			}
+			state := lst.ReplState()
+			parts, err := filepath.Glob(filepath.Join(leaderDir, "scans-*.jsonl.gz"))
+			if err != nil || len(parts) != 2 {
+				t.Fatalf("leader partitions: %v %v", parts, err)
+			}
+			for _, p := range parts {
+				m := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "scans-"), ".jsonl.gz")
+				fi, err := os.Stat(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ms, ok := state[m]; !ok || ms.FileSize != fi.Size() || ms.Blocks == 0 {
+					t.Fatalf("manifest entry for %s = %+v (present %v), partition holds %d bytes", m, ms, ok, fi.Size())
+				}
+			}
+			// The leader's next checkpoint heals its own sidecar.
+			if err := lst.Sync(); err != nil {
+				t.Fatal(err)
+			}
+
+			srv := leaderServer(t, lst, nil, obs.NewRegistry())
+			followerDir := t.TempDir()
+			fst, err := store.Open(followerDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := NewFollower(fst, srv.URL, obs.NewRegistry())
+			f.CursorPath = filepath.Join(t.TempDir(), "sync.cursor")
+			if _, err := f.CatchUp(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			assertParity(t, leaderDir, followerDir)
+			if _, err := fst.Verify(); err != nil {
+				t.Fatalf("follower verify: %v", err)
+			}
+		})
+	}
 }
