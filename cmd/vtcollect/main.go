@@ -10,7 +10,10 @@
 // On completion it prints the collection statistics and the per-month
 // store accounting (the Table 2 analogue). With -metrics DUR the
 // collector also dumps its live metrics (collector, client, and store
-// series from internal/obs) to stderr every DUR while running.
+// series from internal/obs — among them the checkpoint journal's
+// store_journal_records_total, _bytes_total, _folds_total and, after
+// resuming a killed run, _replayed_rows_total) to stderr every DUR
+// while running.
 package main
 
 import (
@@ -140,10 +143,13 @@ func main() {
 
 	// Checkpointed collection: an interrupted campaign resumes at the
 	// first unfetched slice on the next invocation. The store is a
-	// feed.Syncer, so the collector cuts its gzip blocks to disk
-	// before each checkpoint advances — the cursor never claims
-	// slices that could be lost in a crash, and unlike a full Flush
-	// the partition writers stay open across checkpoints.
+	// feed.Syncer, so the collector journals each slice's rows (one
+	// fsynced append to the store's checkpoint.log) before its
+	// checkpoint advances — the cursor never claims slices that could
+	// be lost in a crash, and unlike a Flush no under-filled block is
+	// cut: a checkpoint costs what the slice holds, not what the store
+	// holds. Close folds the journal away; a killed run's is replayed
+	// by the next Open.
 	cursor := &feed.FileCursor{Path: filepath.Join(opts.dir, "collect.cursor")}
 	stats, err := collector.RunResumable(ctx, opts.from, opts.to, cursor)
 	if cerr := st.Close(); cerr != nil && err == nil {

@@ -7,6 +7,7 @@
 //	vtstore -store ./vtdata list       list stored sample hashes
 //	vtstore -store ./vtdata reindex    rebuild every block-index sidecar
 //	vtstore -store ./vtdata migrate    rewrite v1 partitions to block format v2
+//	vtstore -store ./vtdata repair     truncate torn tails so the store opens again
 //
 // stats and verify fan partition blocks across -workers goroutines
 // (default: all cores). Opening a store already rebuilds, in memory,
@@ -19,6 +20,14 @@
 // columnar v2 block format, verifying the rewrite row-for-row against
 // the source before replacing anything; months already in v2 are
 // skipped, so re-running it is a no-op.
+//
+// A directory a killed collector left behind holds a checkpoint
+// journal (checkpoint.log); opening it replays the journal, and verify
+// reports how many records and still-unsealed rows that took. repair is
+// for the directory that does not open at all — a partition with a torn
+// tail, a journal damaged anywhere but in its final record: it runs
+// store.RepairDir, which cuts both back to their last whole unit, and
+// then opens the result.
 package main
 
 import (
@@ -53,9 +62,9 @@ func parseFlags(args []string) (*options, error) {
 		cmd = "stats"
 	}
 	switch cmd {
-	case "stats", "verify", "list", "reindex", "migrate":
+	case "stats", "verify", "list", "reindex", "migrate", "repair":
 	default:
-		return nil, fmt.Errorf("unknown subcommand %q (stats, verify, list, reindex, migrate)", cmd)
+		return nil, fmt.Errorf("unknown subcommand %q (stats, verify, list, reindex, migrate, repair)", cmd)
 	}
 	if fs.NArg() > 1 {
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(1))
@@ -82,6 +91,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stderr, "vtstore:", err)
 		return 1
+	}
+
+	if opts.cmd == "repair" {
+		rs, err := store.RepairDir(opts.dir)
+		if err != nil {
+			fmt.Fprintln(stderr, "vtstore:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "repair: %d sidecars rebuilt, %d partition bytes and %d journal bytes truncated\n",
+			len(rs.Repaired), rs.TruncatedBytes, rs.JournalTruncatedBytes)
 	}
 
 	st, err := store.Open(opts.dir)
@@ -128,6 +147,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "verified %d rows across %d partitions: OK\n", n, len(st.Months()))
+		if j := st.Journal(); j != (store.JournalInfo{}) {
+			fmt.Fprintf(stdout, "journal: %d records replayed, %d unsealed rows re-fed, %d torn bytes dropped\n",
+				j.Records, j.UnsealedRows, j.TornBytes)
+		}
 
 	case "list":
 		for _, sha := range st.SampleHashes() {

@@ -49,6 +49,11 @@ func TestParseFlags(t *testing.T) {
 			want: options{dir: "./vtdata", cmd: "migrate"},
 		},
 		{
+			name: "repair",
+			args: []string{"repair"},
+			want: options{dir: "./vtdata", cmd: "repair"},
+		},
+		{
 			name: "migrate with store flag",
 			args: []string{"-store", "/tmp/s", "migrate"},
 			want: options{dir: "/tmp/s", cmd: "migrate"},
@@ -118,37 +123,40 @@ func buildVerifyStore(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Date(2021, 5, 3, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 24; i++ {
-		sha := fmt.Sprintf("verify%02d", i)
-		env := report.Envelope{
-			Meta: report.SampleMeta{
-				SHA256:              sha,
-				FileType:            "Win32 EXE",
-				Size:                2048,
-				FirstSubmissionDate: base,
-				LastAnalysisDate:    base,
-				LastSubmissionDate:  base,
-				TimesSubmitted:      1,
-			},
-			Scan: report.ScanReport{
-				SHA256:       sha,
-				FileType:     "Win32 EXE",
-				AnalysisDate: base.Add(time.Duration(i) * time.Hour),
-				AVRank:       1,
-				EnginesTotal: 2,
-				Results: []report.EngineResult{
-					{Engine: "Avast", Verdict: report.Malicious, Label: "Trojan.Gen", SignatureVersion: 1},
-					{Engine: "BitDefender", Verdict: report.Benign, SignatureVersion: 2},
-				},
-			},
-		}
-		if err := s.Put(env); err != nil {
+		if err := s.Put(verifyEnvelope(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func verifyEnvelope(i int) report.Envelope {
+	base := time.Date(2021, 5, 3, 12, 0, 0, 0, time.UTC)
+	sha := fmt.Sprintf("verify%02d", i)
+	return report.Envelope{
+		Meta: report.SampleMeta{
+			SHA256:              sha,
+			FileType:            "Win32 EXE",
+			Size:                2048,
+			FirstSubmissionDate: base,
+			LastAnalysisDate:    base,
+			LastSubmissionDate:  base,
+			TimesSubmitted:      1,
+		},
+		Scan: report.ScanReport{
+			SHA256:       sha,
+			FileType:     "Win32 EXE",
+			AnalysisDate: base.Add(time.Duration(i) * time.Hour),
+			AVRank:       1,
+			EnginesTotal: 2,
+			Results: []report.EngineResult{
+				{Engine: "Avast", Verdict: report.Malicious, Label: "Trojan.Gen", SignatureVersion: 1},
+				{Engine: "BitDefender", Verdict: report.Benign, SignatureVersion: 2},
+			},
+		},
 	}
 }
 
@@ -261,5 +269,59 @@ func TestVerifyCorruptPayloadExitStatus(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-store", dir, "verify"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr: %s", code, stderr.String())
+	}
+}
+
+// TestVerifyAndRepairKilledCollector drives the two commands over what
+// a killed checkpointing collector leaves: verify replays the journal
+// and says so; a journal damaged mid-file makes every command fail at
+// Open until repair truncates it.
+func TestVerifyAndRepairKilledCollector(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.WithBlockSize(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := s.Put(verifyEnvelope(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No Close: the collector was killed.
+	journal := filepath.Join(dir, "checkpoint.log")
+	intact, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-store", dir, "verify"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("verify over a journal: exit %d\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "verified 12 rows") || !strings.Contains(stdout.String(), "journal: 12 records replayed") {
+		t.Fatalf("verify output: %s", stdout.String())
+	}
+
+	damaged := append([]byte(nil), intact...)
+	damaged[len(damaged)/2] ^= 0xFF
+	if err := os.WriteFile(journal, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-store", dir, "verify"}, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "journal corrupt") {
+		t.Fatalf("verify over a damaged journal: exit %d\nstderr: %s", code, stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-store", dir, "repair"}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "journal bytes truncated") {
+		t.Fatalf("repair: exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	if code := run([]string{"-store", dir, "verify"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("verify after repair: exit %d\nstderr: %s", code, stderr.String())
 	}
 }

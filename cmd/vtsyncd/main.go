@@ -145,7 +145,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runLeader serves until the context is cancelled. It listens before
 // announcing, so "serving" on stdout means the port is live —
 // scripts wait on that line.
+//
+// The directory may be one a killed collector left behind: Open then
+// replayed its checkpoint journal, and the rows no block had sealed are
+// back in memory — counted by the stats and samples a Leader serves,
+// but in no block its manifest lists. This daemon never ingests, so
+// nothing would ever seal them; Flush does (and persists any sidecar
+// Open had to rebuild), which makes what followers receive one state.
 func runLeader(ctx context.Context, opts *options, st *store.Store, stdout io.Writer) error {
+	if err := st.Flush(); err != nil {
+		return err
+	}
 	var h http.Handler = vtsync.NewLeader(st, nil)
 	if opts.fault500 > 0 || opts.fault503 > 0 {
 		h = vtapi.FaultMiddleware(vtapi.FaultConfig{

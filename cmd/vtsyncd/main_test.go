@@ -83,25 +83,24 @@ func syncdEnvelope(sha string, at time.Time, rank int) report.Envelope {
 	}
 }
 
-// TestLeaderFollowerEndToEnd drives the two run() modes against each
-// other in-process: a leader on a random port, a follower -once, then
-// a file-for-file hash comparison of the two directories.
-func TestLeaderFollowerEndToEnd(t *testing.T) {
-	leaderDir := t.TempDir()
-	st, err := store.Open(leaderDir, store.WithBlockSize(1<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
+// fillLeader puts 20 single-report samples into st.
+func fillLeader(t *testing.T, st *store.Store) {
+	t.Helper()
 	base := time.Date(2021, 5, 3, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 20; i++ {
 		if err := st.Put(syncdEnvelope(fmt.Sprintf("e2e%03d", i), base.Add(time.Duration(i)*time.Hour), i%4)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// replicate drives the two run() modes against each other in-process:
+// a leader over leaderDir on a random port, a follower -once into a
+// fresh directory (twice: the second pass is a no-op that must still
+// succeed), then the leader's shutdown on interrupt. It returns the
+// replica directory.
+func replicate(t *testing.T, leaderDir string) string {
+	t.Helper()
 	leaderOut := &lockedBuffer{}
 	leaderDone := make(chan int, 1)
 	go func() {
@@ -126,34 +125,16 @@ func TestLeaderFollowerEndToEnd(t *testing.T) {
 	}
 
 	followerDir := t.TempDir()
-	var followerOut, followerErr bytes.Buffer
-	code := run([]string{"-mode", "follower", "-store", followerDir,
-		"-leader", "http://" + addr, "-once"}, &followerOut, &followerErr)
-	if code != 0 {
-		t.Fatalf("follower exit %d: %s", code, followerErr.String())
-	}
-	if !strings.Contains(followerOut.String(), "caught up") {
-		t.Fatalf("follower output %q", followerOut.String())
-	}
-
-	// Byte parity, ignoring the follower's cursor file.
-	want := hashDir(t, leaderDir)
-	got := hashDir(t, followerDir)
-	delete(got, "sync.cursor")
-	if len(want) != len(got) {
-		t.Fatalf("leader has %d files, follower %d", len(want), len(got))
-	}
-	for name, sum := range want {
-		if got[name] != sum {
-			t.Fatalf("file %s differs after e2e sync", name)
+	for pass := 1; pass <= 2; pass++ {
+		var followerOut, followerErr bytes.Buffer
+		code := run([]string{"-mode", "follower", "-store", followerDir,
+			"-leader", "http://" + addr, "-once"}, &followerOut, &followerErr)
+		if code != 0 {
+			t.Fatalf("follower pass %d exit %d: %s", pass, code, followerErr.String())
 		}
-	}
-
-	// A second -once pass is a no-op that still succeeds (resumable).
-	code = run([]string{"-mode", "follower", "-store", followerDir,
-		"-leader", "http://" + addr, "-once"}, &followerOut, &followerErr)
-	if code != 0 {
-		t.Fatalf("second follower pass exit %d: %s", code, followerErr.String())
+		if !strings.Contains(followerOut.String(), "caught up") {
+			t.Fatalf("follower output %q", followerOut.String())
+		}
 	}
 
 	p, err := os.FindProcess(os.Getpid())
@@ -170,6 +151,79 @@ func TestLeaderFollowerEndToEnd(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("leader did not shut down on interrupt")
+	}
+	return followerDir
+}
+
+// TestLeaderFollowerEndToEnd replicates a closed store through the two
+// daemons and compares the directories file for file.
+func TestLeaderFollowerEndToEnd(t *testing.T) {
+	leaderDir := t.TempDir()
+	st, err := store.Open(leaderDir, store.WithBlockSize(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillLeader(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	followerDir := replicate(t, leaderDir)
+
+	// Byte parity, ignoring the follower's cursor file.
+	want := hashDir(t, leaderDir)
+	got := hashDir(t, followerDir)
+	delete(got, "sync.cursor")
+	if len(want) != len(got) {
+		t.Fatalf("leader has %d files, follower %d", len(want), len(got))
+	}
+	for name, sum := range want {
+		if got[name] != sum {
+			t.Fatalf("file %s differs after e2e sync", name)
+		}
+	}
+}
+
+// TestLeaderOverKilledCollectorDirectory points the leader daemon at
+// what a killed, checkpointing collector left: rows acknowledged by its
+// last Sync sit in checkpoint.log, in no sealed block. The daemon seals
+// them before it serves, so the replica holds every acknowledged row,
+// verifies, and matches the leader's partitions and sidecars file for
+// file; the journal stays behind as the leader's own recovery state.
+func TestLeaderOverKilledCollectorDirectory(t *testing.T) {
+	leaderDir := t.TempDir()
+	st, err := store.Open(leaderDir, store.WithBlockSize(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillLeader(t, st)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// st is abandoned un-Closed, like a killed process.
+	followerDir := replicate(t, leaderDir)
+
+	want := hashDir(t, leaderDir)
+	got := hashDir(t, followerDir)
+	if _, ok := want["checkpoint.log"]; !ok {
+		t.Fatal("killed collector left no checkpoint journal; the test proves nothing")
+	}
+	for name, sum := range want {
+		if !strings.HasPrefix(name, "scans-") {
+			continue // snapshots are served from memory; the journal is not replicated
+		}
+		if got[name] != sum {
+			t.Fatalf("file %s differs on the replica of a killed directory", name)
+		}
+	}
+	if _, ok := got["checkpoint.log"]; ok {
+		t.Fatal("the journal was replicated")
+	}
+	replica, err := store.Open(followerDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := replica.Verify(); err != nil || n != 20 {
+		t.Fatalf("replica of a killed directory: %d rows verified, %v", n, err)
 	}
 }
 

@@ -11,28 +11,33 @@ import (
 	"time"
 
 	"vtdynamics/internal/feed"
+	"vtdynamics/internal/obs"
 	"vtdynamics/internal/report"
 	"vtdynamics/internal/store"
 )
 
 // The collector checkpoints through a feed.FileCursor whose Save is
-// write-temp + fsync + rename, and the store is a feed.Syncer, so
-// committed blocks hit disk before any checkpoint advances. A kill can
-// therefore interrupt a checkpoint at two interesting points:
+// write-temp + fsync + rename, and the store is a feed.Syncer, so each
+// slice's rows are in the store's fsynced checkpoint journal before any
+// checkpoint advances. A kill can therefore interrupt a checkpoint at
+// these points:
 //
+//   - inside store.Sync, mid-append of the journal record: the record
+//     is torn, the cursor never moved, and Open drops the record;
 //   - after the temp file is fsynced but before the rename promotes
 //     it: the main cursor file still holds the previous frontier and a
 //     newer valid .tmp is orphaned next to it;
 //   - mid-write of the temp file: the .tmp is truncated garbage and
 //     only the main file is trustworthy.
 //
-// In both cases reopening the store and re-running the same window
+// In every case reopening the store and re-running the same window
 // must be gap-free: every scheduled envelope present afterwards, with
 // at most the single slice between the two frontiers re-fetched. These
 // tests simulate the kill by hijacking cursor.Save at a chosen
 // frontier, planting exactly the on-disk debris the crash would leave,
 // and abandoning the live Store without Close — the reopened Store
-// sees only what was durable.
+// sees only what was durable: sealed blocks, and the journal, which
+// Open replays (asserted in resume).
 
 // crashCampaign is the shared fixture: a 30-minute window with one
 // envelope per one-minute slice, all in a single monthly partition.
@@ -42,6 +47,8 @@ type crashCampaign struct {
 	end    time.Time
 	envs   []report.Envelope
 	cursor string
+	// reg receives the resumed store's metrics.
+	reg *obs.Registry
 }
 
 func newCrashCampaign(t *testing.T) *crashCampaign {
@@ -92,16 +99,31 @@ func (cc *crashCampaign) runUntilKill(t *testing.T, killAt time.Time, plant func
 		t.Fatalf("first run err = %v, want simulated kill", err)
 	}
 	// No Close: the abandoned Store's buffered state dies with the
-	// "process". Everything up to the fatal checkpoint was synced.
+	// "process". Everything up to the fatal checkpoint was synced — into
+	// the journal, which is what is left to resume from.
+	if fi, err := os.Stat(filepath.Join(cc.dir, "checkpoint.log")); err != nil || fi.Size() == 0 {
+		t.Fatalf("no checkpoint journal after a killed checkpointed run: %v", err)
+	}
 }
 
 // resume reopens the survivors and completes the window, returning the
 // fresh source (for poll accounting) and the run stats.
 func (cc *crashCampaign) resume(t *testing.T) (*scriptedSource, feed.Stats) {
 	t.Helper()
-	st, err := store.Open(cc.dir, store.WithBlockSize(1<<10))
+	reg := obs.NewRegistry()
+	cc.reg = reg
+	st, err := store.Open(cc.dir, store.WithBlockSize(1<<10), store.WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
+	}
+	// Reopen invariant: the rows Open re-fed from the journal plus the
+	// rows in sealed blocks are exactly the rows accounted.
+	replayed := reg.SumCounters("store_journal_replayed_rows_total")
+	if replayed == 0 {
+		t.Fatal("reopen replayed no journaled rows; the crash never exercised the journal")
+	}
+	if sealed := sealedRows(t, st); replayed+sealed != int64(st.TotalStats().Reports) {
+		t.Fatalf("replayed %d + sealed %d rows != %d accounted", replayed, sealed, st.TotalStats().Reports)
 	}
 	src := &scriptedSource{envs: cc.envs}
 	c := feed.NewCollector(src, st)
@@ -138,6 +160,22 @@ func (cc *crashCampaign) rowCounts(t *testing.T) map[string]int {
 		t.Fatalf("store verify after crash-resume: %v", err)
 	}
 	return counts
+}
+
+// sealedRows counts the rows in st's committed blocks.
+func sealedRows(t *testing.T, st *store.Store) int64 {
+	t.Helper()
+	var rows int64
+	for month := range st.ReplState() {
+		blocks, err := st.BlocksSince(month, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			rows += int64(b.Rows)
+		}
+	}
+	return rows
 }
 
 func cursorBytes(frontier time.Time) []byte {
@@ -240,6 +278,41 @@ func TestCrashResumeTruncatedMainCursor(t *testing.T) {
 	_, stats := cc.resume(t)
 	if stats.Polls != 14 {
 		t.Fatalf("resume polls = %d, want 14", stats.Polls)
+	}
+	counts := cc.rowCounts(t)
+	for i := 0; i < 30; i++ {
+		if sha := fmt.Sprintf("cr-%03d", i); counts[sha] != 1 {
+			t.Fatalf("sample %s stored %d times, want exactly once", sha, counts[sha])
+		}
+	}
+}
+
+// TestCrashResumeTornJournalRecord kills the collector inside
+// store.Sync: the journal record of the slice being checkpointed is
+// torn mid-append, so that Sync never returned and the cursor still
+// holds the previous frontier. Open must drop the torn record (counted,
+// no RepairDir needed), and the resumed run re-fetch exactly that one
+// slice — every sample stored exactly once.
+func TestCrashResumeTornJournalRecord(t *testing.T) {
+	cc := newCrashCampaign(t)
+	killAt := cc.start.Add(16 * time.Minute)
+	journal := filepath.Join(cc.dir, "checkpoint.log")
+	cc.runUntilKill(t, killAt, func(time.Time) {
+		fi, err := os.Stat(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(journal, fi.Size()-9); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	src, stats := cc.resume(t)
+	if n := cc.reg.SumCounters("store_journal_torn_tail_total"); n != 1 {
+		t.Fatalf("reopen counted %d torn journal tails, want 1", n)
+	}
+	if stats.Polls != 15 || src.calls.Load() != 15 {
+		t.Fatalf("resume polls = %d (source calls %d), want 15", stats.Polls, src.calls.Load())
 	}
 	counts := cc.rowCounts(t)
 	for i := 0; i < 30; i++ {

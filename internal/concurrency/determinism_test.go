@@ -1,6 +1,7 @@
 package concurrency
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"vtdynamics/internal/experiments"
+	"vtdynamics/internal/feed"
+	"vtdynamics/internal/obs"
 	"vtdynamics/internal/report"
 	"vtdynamics/internal/store"
 )
@@ -229,5 +232,77 @@ func TestPipelineDeterminismSameWorkers(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same-seed same-workers runs diverge")
+	}
+}
+
+// TestStoreDeterminismCheckpointed pins that a checkpoint leaves no
+// trace in the closed store: the same campaign collected with a
+// store.Sync after every window (RunResumable) and with none (Run), at
+// one fetch worker and at eight, must Close into file-for-file
+// identical directories, with no checkpoint.log left behind — for both
+// block formats. Sync journals rows instead of cutting under-filled
+// blocks, so it also cuts none: store_blocks_cut_total must agree too.
+func TestStoreDeterminismCheckpointed(t *testing.T) {
+	envs := make([]report.Envelope, 0, 360)
+	for i := 0; i < 360; i++ {
+		at := storeT0.Add(time.Duration(i) * 7 * time.Hour)
+		envs = append(envs, storeEnvelope(fmt.Sprintf("ck-%03d", i%50), at, i%6))
+	}
+	start, end := storeT0, storeT0.Add(360*7*time.Hour)
+	for _, format := range []struct {
+		name string
+		val  int
+	}{
+		{"v1", store.FormatV1},
+		{"v2", store.FormatV2},
+	} {
+		format := format
+		t.Run(format.name, func(t *testing.T) {
+			collect := func(checkpoint bool, workers int) (map[string]string, int64) {
+				dir := t.TempDir()
+				reg := obs.NewRegistry()
+				s, err := store.Open(dir, store.WithFormat(format.val), store.WithBlockSize(4<<10), store.WithMetrics(reg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := feed.NewCollector(&scriptedSource{envs: envs}, s)
+				c.Interval = 24 * time.Hour
+				c.Workers = workers
+				var stats feed.Stats
+				if checkpoint {
+					stats, err = c.RunResumable(context.Background(), start, end, &feed.MemCursor{})
+				} else {
+					stats, err = c.Run(context.Background(), start, end)
+				}
+				if err != nil || stats.Envelopes != len(envs) {
+					t.Fatalf("collected %d of %d envelopes: %v", stats.Envelopes, len(envs), err)
+				}
+				if records := reg.SumCounters("store_journal_records_total"); checkpoint == (records == 0) {
+					t.Fatalf("checkpoint=%v journaled %d records", checkpoint, records)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return hashDir(t, dir), reg.SumCounters("store_blocks_cut_total")
+			}
+			want, wantCuts := collect(false, 1)
+			if _, ok := want["samples.jsonl.gz"]; !ok || len(want) < 5 {
+				t.Fatalf("reference store holds %v", want)
+			}
+			for _, run := range []struct {
+				checkpoint bool
+				workers    int
+			}{{false, 8}, {true, 1}, {true, 8}} {
+				got, cuts := collect(run.checkpoint, run.workers)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("checkpoint=%v workers=%d: directory differs from the uncheckpointed serial run:\n got %v\nwant %v",
+						run.checkpoint, run.workers, got, want)
+				}
+				if cuts != wantCuts {
+					t.Errorf("checkpoint=%v workers=%d: cut %d blocks, uncheckpointed serial run cut %d",
+						run.checkpoint, run.workers, cuts, wantCuts)
+				}
+			}
+		})
 	}
 }

@@ -197,6 +197,23 @@ func TestMetricsIdentitiesEndToEnd(t *testing.T) {
 		t.Errorf("store_put_rows_total = %d, envelopes = %d", rows, stats.Envelopes)
 	}
 
+	// Checkpoint accounting: the collector Synced once per poll, a
+	// Sync journals at most one record (none when the poll was empty),
+	// and none of them cut a block — nothing is on disk before the
+	// flush below but what filling cut, which for this small campaign
+	// is nothing.
+	if syncs := p.reg.Histogram("store_sync_seconds", obs.DefBuckets).Snapshot().Count; syncs != int64(stats.Polls) {
+		t.Errorf("store_sync_seconds count = %d, polls = %d", syncs, stats.Polls)
+	}
+	records := p.counter("store_journal_records_total")
+	if records == 0 || records > int64(stats.Polls) || p.counter("store_journal_bytes_total") == 0 {
+		t.Errorf("store_journal_records_total = %d over %d polls (%d journal bytes)",
+			records, stats.Polls, p.counter("store_journal_bytes_total"))
+	}
+	if cut := p.counter("store_blocks_cut_total"); cut != 0 {
+		t.Errorf("store_blocks_cut_total = %d before any flush: a Sync cut a block", cut)
+	}
+
 	// Block accounting: after a flush, every cut block was encoded by
 	// exactly one of the two per-format pipelines (v1 gzips the JSONL
 	// buffer, v2 seals the column builder), so the format-labelled

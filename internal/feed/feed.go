@@ -38,11 +38,10 @@ type BatchSink interface {
 }
 
 // Syncer is an optional Sink upgrade: sinks that can make buffered
-// rows durable at a block boundary without tearing down their
-// writers (store.Sync cuts the open gzip members and persists index
-// sidecars). Resumable runs sync the sink before every checkpoint
-// save, so the cursor never claims slices whose rows could still be
-// lost in a crash.
+// rows durable without tearing down their writers (store.Sync appends
+// them to its fsynced checkpoint journal and cuts nothing). Resumable
+// runs sync the sink before every checkpoint save, so the cursor never
+// claims slices whose rows could still be lost in a crash.
 type Syncer interface {
 	Sync() error
 }

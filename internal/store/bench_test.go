@@ -270,3 +270,39 @@ func BenchmarkTranscodeColumnarEncode(b *testing.B) {
 		b.Fatal("empty payload")
 	}
 }
+
+// BenchmarkSyncAtSize is the timing view of
+// TestSyncJournalBytesIndependentOfStoreSize: one two-row poll plus its
+// checkpoint on a store of 1k and of 10k samples. ns/op should not
+// follow the store's size — before the checkpoint journal it did, by
+// the whole-store snapshot every Sync rewrote.
+func BenchmarkSyncAtSize(b *testing.B) {
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			buildClosedStore(b, dir, n)
+			s, err := Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Start the session's change tracking outside the timer (nothing
+			// was Put yet, so this folds nothing): every timed Sync appends.
+			if err := s.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.PutBatch(syncWindow(i)); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Sync(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

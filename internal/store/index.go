@@ -104,7 +104,14 @@ type partIndex struct {
 	fileSize int64
 	blocks   []blockMeta
 	postings map[string][]int
-	dirty    bool // the sidecar on disk is missing, rejected, or behind the blocks
+	// rows and raw are running totals over blocks, so a checkpoint reads
+	// them without walking the month.
+	rows  int
+	raw   int64
+	dirty bool // the sidecar on disk is missing, rejected, or behind the blocks
+	// unsynced: a block was appended to the partition since its last
+	// fsync. Only a journaling store ever clears (or acts on) it.
+	unsynced bool
 
 	// sideMu serializes writeSidecar, so a Sync racing a Flush never
 	// has two writers sharing the sidecar's temp file.
@@ -124,8 +131,22 @@ func (ix *partIndex) appendBlock(bm blockMeta, shas map[string]int) {
 		ix.postings[sha] = append(ix.postings[sha], n)
 	}
 	ix.fileSize = bm.Offset + bm.Len
+	ix.rows += bm.Rows
+	ix.raw += bm.Raw
 	ix.dirty = true
+	ix.unsynced = true
 	ix.mu.Unlock()
+}
+
+// takeUnsynced reports whether a block arrived since the partition's
+// last fsync and clears the mark — before the caller fsyncs, so a block
+// committed meanwhile is caught by the next call.
+func (ix *partIndex) takeUnsynced() bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	was := ix.unsynced
+	ix.unsynced = false
+	return was
 }
 
 // blocksFor snapshots the blocks that hold sha, in file order.
@@ -143,15 +164,11 @@ func (ix *partIndex) blocksFor(sha string) []blockMeta {
 	return out
 }
 
-// totals sums rows and raw bytes across blocks (load's fast path).
+// totals returns the rows and raw bytes of all blocks.
 func (ix *partIndex) totals() (rows int, raw int64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for _, b := range ix.blocks {
-		rows += b.Rows
-		raw += b.Raw
-	}
-	return rows, raw
+	return ix.rows, ix.raw
 }
 
 // sampleSHAs lists every sample with rows in the partition.
@@ -218,7 +235,7 @@ func (ix *partIndex) writeSidecar(dir, month string) error {
 	if err != nil {
 		return fmt.Errorf("store: index sidecar: %w", err)
 	}
-	if err := atomicWriteFile(sidecarPath(dir, month), b); err != nil {
+	if err := atomicWriteFile(sidecarPath(dir, month), b, false); err != nil {
 		return err
 	}
 	ix.mu.Lock()
@@ -285,6 +302,10 @@ func loadSidecar(dir, month string, partitionSize int64, maxVer int) (*partIndex
 		fileSize: sf.FileSize,
 		blocks:   sf.Blocks,
 		postings: sf.Postings,
+	}
+	for _, bm := range sf.Blocks {
+		ix.rows += bm.Rows
+		ix.raw += bm.Raw
 	}
 	if ix.postings == nil {
 		ix.postings = make(map[string][]int)

@@ -436,7 +436,7 @@ func (s *Store) ApplySamplesSnapshot(data []byte) error {
 		sh.samples[m.SHA256] = m
 		sh.mu.Unlock()
 	}
-	return atomicWriteFile(filepath.Join(s.dir, "samples.jsonl.gz"), data)
+	return atomicWriteFile(filepath.Join(s.dir, "samples.jsonl.gz"), data, false)
 }
 
 // ApplyStatsSnapshot replaces the replica's per-month accounting with
@@ -453,14 +453,27 @@ func (s *Store) ApplyStatsSnapshot(data []byte) error {
 		s.stats[month] = &cp
 	}
 	s.smu.Unlock()
-	return atomicWriteFile(filepath.Join(s.dir, "stats.json"), data)
+	return atomicWriteFile(filepath.Join(s.dir, "stats.json"), data, false)
 }
 
 // atomicWriteFile writes data via a temp file + rename so readers
-// never observe a torn state file.
-func atomicWriteFile(path string, data []byte) error {
+// never observe a torn state file; durable fsyncs the temp file first,
+// so the rename cannot promote bytes a power loss would tear.
+func atomicWriteFile(path string, data []byte, durable bool) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil && durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -476,6 +489,9 @@ type RepairStats struct {
 	Repaired []string
 	// TruncatedBytes counts torn partition-tail bytes dropped.
 	TruncatedBytes int64
+	// JournalTruncatedBytes counts checkpoint.log bytes dropped behind
+	// its last whole record.
+	JournalTruncatedBytes int64
 }
 
 // RepairDir restores a store directory to a durable, indexed state
@@ -486,7 +502,10 @@ type RepairStats struct {
 // replica so the follower's cursor — derived from the sidecars —
 // points at its last durable block boundary; everything truncated is
 // simply re-pulled from the leader. Months in a format newer than
-// this build are an error, never a truncation.
+// this build are an error, never a truncation. A checkpoint journal
+// (journal.go) that is invalid anywhere — not just in the final record
+// Open forgives — is truncated at its last whole record; rows it still
+// carries past a truncated partition tail are re-fed by Open.
 func RepairDir(dir string) (RepairStats, error) {
 	var rs RepairStats
 	entries, err := os.ReadDir(dir)
@@ -535,5 +554,6 @@ func RepairDir(dir string) (RepairStats, error) {
 		rs.Repaired = append(rs.Repaired, month)
 	}
 	sort.Strings(rs.Repaired)
-	return rs, nil
+	rs.JournalTruncatedBytes, err = repairJournal(dir)
+	return rs, err
 }

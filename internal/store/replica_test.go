@@ -34,9 +34,14 @@ func buildReplStore(t *testing.T, dir string, format int) []string {
 			t.Fatal(err)
 		}
 		if i == 17 {
-			// A mid-campaign Sync cuts members at a different cadence than
-			// the final Flush, exercising multi-member replication.
+			// A mid-campaign checkpoint and publish: Sync journals (the
+			// journal is never replicated, and Close folds it away), Flush
+			// cuts members at a different cadence than the final one,
+			// exercising multi-member replication.
 			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,7 +196,12 @@ func TestReplicationIncrementalCatchUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Checkpoint, then publish: Sync alone cuts nothing, and only sealed
+	// blocks replicate.
 	if err := leader.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	replicate(t, leader, follower)
@@ -204,6 +214,9 @@ func TestReplicationIncrementalCatchUp(t *testing.T) {
 		}
 	}
 	if err := leader.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	replicate(t, leader, follower)

@@ -19,6 +19,9 @@
 //	                         written as ~256 KiB block members
 //	scans-2021-05.idx        sidecar block index (see index.go)
 //	samples.jsonl.gz         latest metadata snapshot, written on Close
+//	stats.json               exact per-month accounting, written on Close
+//	checkpoint.log           checkpoint journal (journal.go): present
+//	                         only between a Sync and the next Close
 //
 // Partition bytes remain a valid (multi-member) gzip stream, readable
 // by zcat and by pre-index builds of this package; the sidecar is a
@@ -57,6 +60,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vtdynamics/internal/bufpool"
@@ -101,6 +105,18 @@ type storeMetrics struct {
 	// cover, and by Reindex.
 	indexRebuilds *obs.Counter
 
+	// Checkpoint journal (journal.go). Sync cuts nothing, so
+	// store_blocks_cut_total of a Sync-per-poll campaign equals the
+	// uncheckpointed campaign's; and after a reopen, replayed rows plus
+	// the rows in sealed blocks equal TotalStats().Reports — both
+	// checked by the invariant suite.
+	syncSeconds     *obs.Histogram
+	journalRecords  *obs.Counter
+	journalBytes    *obs.Counter
+	journalFolds    *obs.Counter
+	journalReplayed *obs.Counter
+	journalTorn     *obs.Counter
+
 	// Pushdown scan accounting (scan.go): every block a Scan considers
 	// is pruned for exactly one reason or scanned, so
 	// store_blocks_pruned_total summed over reasons +
@@ -139,6 +155,13 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		indexedMonths:  reg.Counter("store_get_indexed_months_total"),
 		blockDecodes:   reg.Counter("store_block_decodes_total"),
 		indexRebuilds:  reg.Counter("store_index_rebuilds_total"),
+
+		syncSeconds:     reg.Histogram("store_sync_seconds", obs.DefBuckets),
+		journalRecords:  reg.Counter("store_journal_records_total"),
+		journalBytes:    reg.Counter("store_journal_bytes_total"),
+		journalFolds:    reg.Counter("store_journal_folds_total"),
+		journalReplayed: reg.Counter("store_journal_replayed_rows_total"),
+		journalTorn:     reg.Counter("store_journal_torn_tail_total"),
 
 		scanCalls:   reg.Counter("store_scan_calls_total"),
 		scanBlocks:  reg.Counter("store_scan_blocks_total"),
@@ -186,9 +209,43 @@ type Store struct {
 	imu     sync.Mutex
 	indexes map[string]*partIndex
 
-	// smu guards the per-month accounting.
-	smu   sync.Mutex
-	stats map[string]*PartitionStats
+	// smu guards the per-month accounting and dirtyMonths, the months
+	// whose accounting moved since the last journal record (recorded
+	// only while tracking is set).
+	smu         sync.Mutex
+	stats       map[string]*PartitionStats
+	dirtyMonths map[string]bool
+
+	// tracking: the session checkpoints — Open found a journal, or Sync
+	// has been called — so Puts record the samples and months they
+	// dirty. A store that never calls Sync never sets it and keeps no
+	// such record. Atomic because Put reads it.
+	tracking atomic.Bool
+
+	// Checkpoint journal state (journal.go). jmu serializes Sync, the
+	// fold and Close's journal teardown, and guards the fields below.
+	jmu sync.Mutex
+	// journaled: checkpoint.log exists, so Close must fold it away.
+	journaled bool
+	// jf is the journal open for appending (nil until this session's
+	// first record); jsize is the length of its valid prefix.
+	jf    *os.File
+	jsize int64
+	// jbuf is the record encode buffer, reused across checkpoints.
+	jbuf []byte
+	// jstale: a journal appended to now would not describe the store —
+	// rows were Put before tracking began, so no record of what they
+	// dirtied exists, or an append failed and the file's tail is
+	// unknown. The next Sync or Close folds, which rewrites snapshots
+	// and journal from live state.
+	jstale bool
+	// foldAt is the journal size past which Sync folds.
+	foldAt int64
+	// foldStep, when set (tests only), is called after each step of a
+	// fold and of a snapshot write; an error stops the operation there.
+	foldStep func(step string) error
+	// jinfo is what Open's replay found.
+	jinfo JournalInfo
 
 	// compressSem bounds concurrent block compression across all
 	// partition writers.
@@ -306,6 +363,11 @@ type indexShard struct {
 	samples map[string]report.SampleMeta
 	// months maps sample hash -> partition keys that contain its rows.
 	months map[string]map[string]bool
+	// dirty holds the samples Put since the last journal record, kept
+	// only while the store is tracking; untracked notes that a sample
+	// was Put before that, which makes the session's first Sync a fold.
+	dirty     map[string]struct{}
+	untracked bool
 }
 
 func (s *Store) shardFor(sha string) *indexShard {
@@ -412,23 +474,28 @@ type partWriter struct {
 	format int
 	// idx is the month's block index; it covers every byte below base.
 	idx *partIndex
-	// m is the owning store's metrics (blocks cut, compressed bytes).
-	m *storeMetrics
-	// sem is the store-wide compression-concurrency bound.
-	sem chan struct{}
+	// s is the owning store — its metrics, its compression-concurrency
+	// bound, and with month the accounting a commit adds its bytes to.
+	s     *Store
+	month string
 
-	// Current (pending) block. Exactly one of pendingBuf (v1) / col
-	// (v2) is non-nil while a member is open; both are nil between
-	// members. pendingSize tracks the block's JSONL-equivalent size —
-	// Σ (len(line)+1) — for BOTH formats, so v2's cut boundaries (and
-	// therefore its block contents, and therefore its bytes) are
-	// identical to what the transcode path produced.
+	// Current (pending) block. pendingBuf holds the block's rows as
+	// JSONL in both formats: it is the v1 member's payload, and what
+	// Sync journals for either; v2 additionally folds each row into col,
+	// which is non-nil while a v2 member is open. pendingSize tracks the
+	// block's JSONL-equivalent size — Σ (len(line)+1) — for BOTH
+	// formats, so v2's cut boundaries (and therefore its block
+	// contents, and therefore its bytes) are identical to what the
+	// transcode path produced.
 	pendingBuf  []byte
 	col         *colBuilder
 	pendingRows int
 	pendingRaw  int64
 	pendingSize int
 	pendingShas map[string]int
+	// jmark and jrows are the bytes of pendingBuf and the pending rows
+	// that checkpoint.log already carries; a cut resets both.
+	jmark, jrows int
 	// zone accumulates the pending v1 block's zone map row by row; v2
 	// blocks derive theirs from the column builder at seal time.
 	zone zoneAcc
@@ -459,18 +526,18 @@ type pendingBlock struct {
 // encoding outruns compression.
 const maxInflightBlocks = 4
 
-// writeRowLocked appends one row — to the raw JSONL buffer (v1) or
-// the column builder (v2) — cutting a block when the pending member
+// writeRowLocked appends one row — to the JSONL buffer, and for v2 to
+// the column builder as well — cutting a block when the pending member
 // reaches the block-size target. The cut fires on the row's
 // JSONL-equivalent size in both formats, so v2 blocks hold exactly
 // the rows their transcode-era counterparts held. Caller holds w.mu.
 func (w *partWriter) writeRowLocked(row encRow) error {
+	if w.pendingBuf == nil {
+		w.pendingBuf = bufpool.GetBlockBuf()
+	}
+	w.pendingBuf = append(w.pendingBuf, row.line...)
+	w.pendingBuf = append(w.pendingBuf, '\n')
 	if w.format == FormatV1 {
-		if w.pendingBuf == nil {
-			w.pendingBuf = bufpool.GetBlockBuf()
-		}
-		w.pendingBuf = append(w.pendingBuf, row.line...)
-		w.pendingBuf = append(w.pendingBuf, '\n')
 		w.zone.scan(row.scan)
 	} else {
 		if w.col == nil {
@@ -490,28 +557,31 @@ func (w *partWriter) writeRowLocked(row encRow) error {
 
 // cutBlockLocked seals the pending block and hands it to the
 // compression pool, then commits whatever earlier blocks have already
-// finished. Caller holds w.mu. A nil pending block is a no-op.
+// finished. Caller holds w.mu. An empty pending block is a no-op.
 func (w *partWriter) cutBlockLocked() error {
-	if w.pendingBuf == nil && w.col == nil {
+	if w.pendingRows == 0 {
 		return nil
 	}
 	pb := &pendingBlock{
-		raw:      w.pendingBuf,
 		col:      w.col,
 		rows:     w.pendingRows,
 		rawBytes: w.pendingRaw,
 		shas:     w.pendingShas,
 		done:     make(chan struct{}),
 	}
-	if pb.raw != nil {
+	if w.format == FormatV1 {
+		pb.raw, w.pendingBuf = w.pendingBuf, nil
 		pb.zone = w.zone.z
+	} else {
+		w.pendingBuf = w.pendingBuf[:0]
 	}
 	w.zone.reset()
-	w.pendingBuf, w.col = nil, nil
+	w.col = nil
 	w.pendingRows, w.pendingRaw, w.pendingSize = 0, 0, 0
+	w.jmark, w.jrows = 0, 0
 	w.pendingShas = bufpool.GetCountMap()
 	w.queue = append(w.queue, pb)
-	go compressBlock(pb, w.sem, w.m)
+	go compressBlock(pb, w.s.compressSem, w.s.m)
 	return w.commitLocked(maxInflightBlocks)
 }
 
@@ -595,8 +665,9 @@ func (w *partWriter) commitBlockLocked(pb *pendingBlock) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	end := w.base + w.counter.n
-	w.m.blocksCut.Inc()
-	w.m.storedBytes.Add(end - start)
+	w.s.m.blocksCut.Inc()
+	w.s.m.storedBytes.Add(end - start)
+	w.s.accountStored(w.month, end-start)
 	bm := blockMeta{
 		Offset: start,
 		Len:    end - start,
@@ -662,7 +733,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // Open opens (or creates) a store in dir, loading any existing
-// partitions into the index.
+// partitions into the index and replaying the checkpoint journal a
+// killed session left behind (journal.go), so the store comes back as
+// of that session's last completed Sync.
 func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -676,6 +749,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		writers:     make(map[string]*partWriter),
 		indexes:     make(map[string]*partIndex),
 		stats:       make(map[string]*PartitionStats),
+		dirtyMonths: make(map[string]bool),
 		compressSem: make(chan struct{}, max(2, runtime.GOMAXPROCS(0))),
 	}
 	for _, opt := range opts {
@@ -700,8 +774,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	for i := range s.shards {
 		s.shards[i].samples = make(map[string]report.SampleMeta)
 		s.shards[i].months = make(map[string]map[string]bool)
+		s.shards[i].dirty = make(map[string]struct{})
 	}
 	if err := s.load(); err != nil {
+		return nil, err
+	}
+	if err := s.replayJournal(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -719,15 +797,6 @@ func (s *Store) load() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	addMonth := func(sha, month string) {
-		sh := s.shardFor(sha)
-		set, ok := sh.months[sha]
-		if !ok {
-			set = make(map[string]bool)
-			sh.months[sha] = set
-		}
-		set[month] = true
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -752,7 +821,7 @@ func (s *Store) load() error {
 		}
 		st.Reports, st.RawBytes = ix.totals()
 		for _, sha := range ix.sampleSHAs() {
-			addMonth(sha, month)
+			s.addMonth(sha, month)
 		}
 		st.StoredBytes = size
 		s.stats[month] = st
@@ -789,9 +858,23 @@ func (s *Store) load() error {
 	return s.loadStatsSidecar()
 }
 
+// addMonth records that month's partition holds rows of sha. Open-time
+// only: it takes no shard lock.
+func (s *Store) addMonth(sha, month string) {
+	sh := s.shardFor(sha)
+	set, ok := sh.months[sha]
+	if !ok {
+		set = make(map[string]bool)
+		sh.months[sha] = set
+	}
+	set[month] = true
+}
+
 // loadStatsSidecar restores the exact raw-byte accounting persisted
 // by Close. Without it, load() has already filled RawBytes with the
-// compact-line lengths as a conservative approximation.
+// compact-line lengths as a conservative approximation. StoredBytes of
+// a partition on disk stays what load() measured: the file may have
+// grown since the snapshot was written.
 func (s *Store) loadStatsSidecar() error {
 	b, err := os.ReadFile(filepath.Join(s.dir, "stats.json"))
 	if err != nil {
@@ -806,6 +889,9 @@ func (s *Store) loadStatsSidecar() error {
 	}
 	for month, st := range saved {
 		cp := st
+		if measured := s.stats[month]; measured != nil {
+			cp.StoredBytes = measured.StoredBytes
+		}
 		s.stats[month] = &cp
 	}
 	return nil
@@ -996,6 +1082,11 @@ func (s *Store) indexEncoded(enc encoded) {
 	sh := s.shardFor(enc.sha)
 	sh.mu.Lock()
 	sh.samples[enc.sha] = enc.meta
+	if s.tracking.Load() {
+		sh.dirty[enc.sha] = struct{}{}
+	} else if !sh.untracked {
+		sh.untracked = true
+	}
 	set, ok := sh.months[enc.sha]
 	if !ok {
 		set = make(map[string]bool)
@@ -1018,6 +1109,24 @@ func (s *Store) accountRows(month string, rows int, raw int64) {
 	}
 	st.Reports += rows
 	st.RawBytes += raw
+	if s.tracking.Load() {
+		s.dirtyMonths[month] = true
+	}
+	s.smu.Unlock()
+}
+
+// accountStored adds a committed block's bytes to the month's
+// accounting — at the commit, so the live figure (and every snapshot
+// of it) counts open writers' blocks too. A block can fill before the
+// month's first accountRows, hence the create.
+func (s *Store) accountStored(month string, n int64) {
+	s.smu.Lock()
+	st, ok := s.stats[month]
+	if !ok {
+		st = &PartitionStats{}
+		s.stats[month] = st
+	}
+	st.StoredBytes += n
 	s.smu.Unlock()
 }
 
@@ -1073,8 +1182,8 @@ func (s *Store) writer(month string) (*partWriter, error) {
 		blockSize:   s.blockSize,
 		format:      s.format,
 		pendingShas: bufpool.GetCountMap(),
-		m:           s.m,
-		sem:         s.compressSem,
+		s:           s,
+		month:       month,
 	}
 	// Attach the month's block index. A fresh partition starts one; an
 	// existing partition continues its index only if that index covers
@@ -1120,58 +1229,67 @@ func (s *Store) Flush() error {
 			w.mu.Unlock()
 			return err
 		}
-		stored := w.counter.n
 		if err := w.f.Close(); err != nil {
 			w.mu.Unlock()
 			return fmt.Errorf("store: %w", err)
 		}
 		// The writer is finished: its last cut left a fresh (empty)
-		// pending-sha map that would otherwise leak out of the pool.
+		// pending-sha map, and in v2 the emptied line buffer, that
+		// would otherwise leak out of their pools.
 		bufpool.PutCountMap(w.pendingShas)
 		w.pendingShas = nil
+		bufpool.PutBlockBuf(w.pendingBuf)
+		w.pendingBuf = nil
 		w.mu.Unlock()
 		delete(s.writers, month)
-		s.smu.Lock()
-		if st := s.stats[month]; st != nil {
-			st.StoredBytes += stored
-		}
-		s.smu.Unlock()
 	}
 	return s.writeSidecars()
 }
 
-// Sync makes buffered rows durable and readable by cutting the open
-// gzip members at a block boundary and persisting grown sidecars and
-// metadata snapshots — without tearing down partition writers. It is
-// the durability point resumable collectors use before saving a
-// checkpoint: after a kill, reopening the directory recovers the
-// complete store state (rows, indexes, sample metas, accounting) as
-// of the last Sync, so a resumed campaign passes full verification.
+// Sync is the durability point resumable collectors use before saving
+// a checkpoint: it appends one record to the checkpoint journal — the
+// rows put since the previous record that no sealed block holds, the
+// metas that changed, the accounting that moved (journal.go) — and
+// fsyncs it, plus any partition in which a block sealed since its last
+// fsync. It cuts no block and rewrites a sidecar only when one did
+// seal, so its cost follows what changed, not what is stored. After a
+// kill, Open recovers the complete store state (rows, indexes, sample
+// metas, accounting) as of the last Sync that returned, so a resumed
+// campaign passes full verification.
+//
+// Sync does not publish. Rows stay readable through Get (whose
+// read-your-writes cut seals them) and through Scan and IterAll (which
+// flush first), but the sealed blocks that replication lists
+// (ReplState, BlocksSince) gain them only when their block fills or at
+// the next Flush. Flush — which leaves the store open for further Puts
+// — is therefore the call that makes everything put so far visible to
+// a replication Leader serving this store.
+//
+// What moved is recorded only from a session's first Sync on (a store
+// that never checkpoints pays nothing for the journal), so if rows were
+// Put before it, that first Sync is a fold: it writes the snapshots
+// once and starts the journal beside them.
 func (s *Store) Sync() error {
-	s.wmu.Lock()
-	open := make([]*partWriter, 0, len(s.writers))
-	for _, w := range s.writers {
-		open = append(open, w)
+	start := time.Now()
+	defer func() { s.m.syncSeconds.ObserveDuration(time.Since(start)) }()
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	if !s.tracking.Swap(true) && s.takeUntracked() {
+		s.jstale = true
 	}
-	s.wmu.Unlock()
-	for _, w := range open {
-		w.mu.Lock()
-		if !w.closed {
-			if err := w.cutBlockLocked(); err != nil {
-				w.mu.Unlock()
-				return err
-			}
-			if err := w.commitLocked(0); err != nil {
-				w.mu.Unlock()
-				return err
-			}
+	if !s.jstale {
+		if err := s.journalCheckpoint(); err != nil {
+			s.jstale = true
+			return err
 		}
-		w.mu.Unlock()
 	}
 	if err := s.writeSidecars(); err != nil {
 		return err
 	}
-	return s.writeSnapshots()
+	if s.jstale || (s.jf != nil && s.jsize > s.foldAt) {
+		return s.fold(false)
+	}
+	return nil
 }
 
 // writeSidecars persists every index its sidecar is behind — grown by
@@ -1209,24 +1327,37 @@ func (s *Store) cutPendingFor(month, sha string) error {
 	return w.commitLocked(0)
 }
 
-// Close flushes partitions and writes the metadata snapshot.
+// Close flushes partitions and writes the metadata snapshots. A store
+// with a journal first journals what moved since its last Sync, so
+// that a crash inside Close replays to exactly the closing state, and
+// then folds the journal away; one that never called Sync does neither.
 func (s *Store) Close() error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
-	return s.writeSnapshots()
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	if !s.journaled && !s.jstale {
+		return s.writeSnapshots(false)
+	}
+	if !s.jstale {
+		if err := s.journalCheckpoint(); err != nil {
+			return err
+		}
+	}
+	return s.fold(true)
 }
 
 // writeSnapshots persists the sample-metadata and stats snapshots,
 // each written to a temp file and renamed into place so a crash
-// mid-write never clobbers the previous good snapshot. Both files go
-// through the same encoders the replication leader serves
-// (WriteSamplesSnapshot, StatsJSON), so a follower that applied the
-// leader's snapshots and then Closes rewrites identical bytes. The
-// samples snapshot is O(total samples); Sync pays that on every
-// checkpoint, which is the same order as the sidecar postings it
-// already rewrites.
-func (s *Store) writeSnapshots() error {
+// mid-write never clobbers the previous good snapshot; durable fsyncs
+// each before its rename, which a fold needs before it may drop the
+// journal records the snapshots replace. Both files go through the
+// same encoders the replication leader serves (WriteSamplesSnapshot,
+// StatsJSON), so a follower that applied the leader's snapshots and
+// then Closes rewrites identical bytes. The samples snapshot is
+// O(total samples), which is why only Close and a fold write it.
+func (s *Store) writeSnapshots(durable bool) error {
 	path := filepath.Join(s.dir, "samples.jsonl.gz")
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -1238,18 +1369,30 @@ func (s *Store) writeSnapshots() error {
 		os.Remove(tmp)
 		return err
 	}
+	if durable {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return fmt.Errorf("store: %w", err)
+		}
+	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	if err := s.step("samples"); err != nil {
+		return err
+	}
 	// Persist the exact accounting for reloads.
 	b, err := s.StatsJSON()
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(filepath.Join(s.dir, "stats.json"), b)
+	if err := atomicWriteFile(filepath.Join(s.dir, "stats.json"), b, durable); err != nil {
+		return err
+	}
+	return s.step("stats")
 }
 
 // snapshotSamples copies the whole sample index out of the shards.

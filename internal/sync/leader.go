@@ -32,6 +32,15 @@ const (
 // stays valid forever; only the manifest moves. The store may keep
 // ingesting while the leader serves — commitBlockLocked publishes a
 // block's index entry only after its bytes are on disk.
+//
+// Manifests list sealed blocks only, while the samples and stats
+// snapshots are the store's live ones, so between publishes a follower
+// can hold snapshots that run ahead of its blocks. The store's owner
+// publishes with store.Flush: it seals every pending row (the store
+// stays open for Puts), after which blocks and snapshots describe the
+// same rows. store.Sync does not publish — it journals pending rows
+// for crash recovery and cuts nothing — and a store reopened over a
+// killed session's journal has those rows pending again until a Flush.
 type Leader struct {
 	st  *store.Store
 	mux *http.ServeMux

@@ -1,6 +1,7 @@
 package sync
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -57,8 +58,11 @@ func envelope(sha string, at time.Time, rank int) report.Envelope {
 	}
 }
 
-// fillStore puts n envelopes spanning two months into st, with a
-// mid-campaign Sync so partitions carry several gzip members.
+// fillStore puts n envelopes spanning two months into st. The
+// mid-campaign Sync journals a checkpoint and cuts nothing, so what a
+// Close leaves — and a follower must reproduce — is the same as without
+// it; the several gzip members per partition come from the callers'
+// small block size.
 func fillStore(t *testing.T, st *store.Store, prefix string, n, offset int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -146,6 +150,50 @@ func leaderServer(t *testing.T, st *store.Store, faults *vtapi.FaultConfig, reg 
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// publish is what a collecting leader does between a follower's
+// catch-ups: checkpoint like vtcollect (Sync journals, cuts nothing),
+// then Flush, which seals every pending row into blocks the manifest
+// lists. The store stays open and keeps ingesting afterwards.
+func publish(t *testing.T, st *store.Store) {
+	t.Helper()
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertServedParity is assertParity against a leader store that is
+// still open: partitions and sidecars must match file for file, and the
+// follower's snapshots must be the bytes the leader serves — its own
+// copies on disk are as old as its last fold, and its checkpoint.log is
+// local recovery state no follower receives.
+func assertServedParity(t *testing.T, lst *store.Store, leaderDir, followerDir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(leaderDir, "checkpoint.log")); err != nil {
+		t.Errorf("checkpointing leader has no journal: %v", err)
+	}
+	local := []string{"checkpoint.log", "samples.jsonl.gz", "stats.json"}
+	assertParity(t, leaderDir, followerDir, local...)
+	var samples bytes.Buffer
+	if err := lst.WriteSamplesSnapshot(&samples); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := lst.StatsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{"samples.jsonl.gz": samples.Bytes(), "stats.json": stats} {
+		if got, err := os.ReadFile(filepath.Join(followerDir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("follower's %s is not what the leader serves (%v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(followerDir, "checkpoint.log")); !os.IsNotExist(err) {
+		t.Errorf("follower holds a checkpoint journal: %v", err)
+	}
 }
 
 // assertNoSyncGoroutines fails if any goroutine is still parked in
@@ -237,7 +285,9 @@ func TestBackfillParity(t *testing.T) {
 
 // TestCatchUpIncremental catches a follower up, grows the leader, and
 // catches up again: the second pass must transfer only the delta and
-// end at parity with the leader's synced state.
+// end at parity with the leader's published state. The leader is one
+// open store that keeps ingesting, checkpointing and publishing while
+// it is served.
 func TestCatchUpIncremental(t *testing.T) {
 	leaderDir := t.TempDir()
 	lst, err := store.Open(leaderDir, store.WithBlockSize(2<<10))
@@ -245,9 +295,7 @@ func TestCatchUpIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStore(t, lst, "inc", 20, 0)
-	if err := lst.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, lst)
 	srv := leaderServer(t, lst, nil, obs.NewRegistry())
 
 	followerDir := t.TempDir()
@@ -260,12 +308,10 @@ func TestCatchUpIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertParity(t, leaderDir, followerDir)
+	assertServedParity(t, lst, leaderDir, followerDir)
 
 	fillStore(t, lst, "inc", 20, 20)
-	if err := lst.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, lst)
 	second, err := f.CatchUp(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +319,86 @@ func TestCatchUpIncremental(t *testing.T) {
 	if second.BlocksApplied == 0 || second.BlocksApplied >= first.BlocksApplied+second.BlocksApplied {
 		t.Fatalf("second pass applied %d blocks (first %d): not incremental", second.BlocksApplied, first.BlocksApplied)
 	}
-	assertParity(t, leaderDir, followerDir)
+	assertServedParity(t, lst, leaderDir, followerDir)
+}
+
+// TestLeaderOverKilledDirectory serves the directory a killed,
+// checkpointing collector left behind. Open replays its journal, which
+// puts the rows no block had sealed back in memory: the stats and
+// samples a Leader serves count them, its manifest does not list them.
+// One Flush — what vtsyncd's leader mode does before it listens — seals
+// them, and the follower then receives a single consistent state: every
+// acknowledged row, verifiable, at parity with what the leader serves.
+func TestLeaderOverKilledDirectory(t *testing.T) {
+	for _, format := range []int{store.FormatV1, store.FormatV2} {
+		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
+			leaderDir := t.TempDir()
+			opts := []store.Option{store.WithFormat(format), store.WithBlockSize(2 << 10)}
+			killed, err := store.Open(leaderDir, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillStore(t, killed, "kld", 24, 0)
+			if err := killed.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			// killed is abandoned un-Closed here.
+
+			lst, err := store.Open(leaderDir, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed := func() (rows int) {
+				for month := range lst.ReplState() {
+					blocks, err := lst.BlocksSince(month, 0, 0, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, b := range blocks {
+						rows += b.Rows
+					}
+				}
+				return rows
+			}
+			if got := lst.TotalStats().Reports; got != 24 || sealed() >= got {
+				t.Fatalf("reopened with %d reports, %d of them sealed: want 24 with some only in the journal", got, sealed())
+			}
+			if err := lst.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if sealed() != 24 {
+				t.Fatalf("%d rows sealed after Flush, want 24", sealed())
+			}
+			srv := leaderServer(t, lst, nil, obs.NewRegistry())
+
+			followerDir := t.TempDir()
+			fst, err := store.Open(followerDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewFollower(fst, srv.URL, obs.NewRegistry()).CatchUp(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			assertServedParity(t, lst, leaderDir, followerDir)
+			rst, err := store.Open(followerDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := rst.Verify(); err != nil || n != 24 || rst.TotalStats() != lst.TotalStats() {
+				t.Fatalf("replica of a killed directory: %d rows verified (%v), stats %+v, leader %+v",
+					n, err, rst.TotalStats(), lst.TotalStats())
+			}
+
+			// The collector resumes over what the leader sealed: nothing twice.
+			resumed, err := store.Open(leaderDir, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := resumed.Verify(); err != nil || n != 24 {
+				t.Fatalf("collector resumed after the leader's Flush: %d rows verified, %v", n, err)
+			}
+		})
+	}
 }
 
 // TestFaultyCampaignWithRestartParity is the tentpole proof: a
@@ -290,9 +415,7 @@ func TestFaultyCampaignWithRestartParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			fillStore(t, lst, "fty", 24, 0)
-			if err := lst.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			publish(t, lst)
 			faults := &vtapi.FaultConfig{Error500Rate: 0.2, Error503Rate: 0.2, Seed: 42}
 			srv := leaderServer(t, lst, faults, obs.NewRegistry())
 
@@ -325,9 +448,7 @@ func TestFaultyCampaignWithRestartParity(t *testing.T) {
 
 			// The leader keeps ingesting while the follower is down.
 			fillStore(t, lst, "fty", 24, 24)
-			if err := lst.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			publish(t, lst)
 
 			// Restart: reopen the replica, reconcile, resume.
 			fst2, err := store.Open(followerDir)
@@ -344,7 +465,7 @@ func TestFaultyCampaignWithRestartParity(t *testing.T) {
 			if n := reg2.SumCounters("sync_cursor_recoveries_total"); n == 0 {
 				t.Fatal("truncated cursor went unnoticed")
 			}
-			assertParity(t, leaderDir, followerDir)
+			assertServedParity(t, lst, leaderDir, followerDir)
 
 			// Full integrity pass over the replica.
 			rst, err := store.Open(followerDir)
