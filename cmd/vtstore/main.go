@@ -16,14 +16,16 @@
 // (stats, verify, and migrate flush, which writes the rebuilt sidecars
 // back). reindex is the unconditional repair: it re-derives every
 // sidecar from the partition bytes — the fix for a sidecar that loads
-// but that verify disproves. migrate upgrades partitions to the
-// columnar v2 block format, verifying the rewrite row-for-row against
-// the source before replacing anything; months already in v2 are
+// but that verify disproves. migrate upgrades the v1 partitions older
+// builds wrote to the columnar v2 block format, feeding their rows
+// through the writer ingest uses and verifying and fsyncing the
+// rewrite before it replaces anything; months already in v2 are
 // skipped, so re-running it is a no-op.
 //
 // A directory a killed collector left behind holds a checkpoint
 // journal (checkpoint.log); opening it replays the journal, and verify
-// reports how many records and still-unsealed rows that took. repair is
+// prints the store_journal_* counters: how many still-unsealed rows
+// that re-fed and whether a torn final record was dropped. repair is
 // for the directory that does not open at all — a partition with a torn
 // tail, a journal damaged anywhere but in its final record: it runs
 // store.RepairDir, which cuts both back to their last whole unit, and
@@ -103,7 +105,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			len(rs.Repaired), rs.TruncatedBytes, rs.JournalTruncatedBytes)
 	}
 
-	st, err := store.Open(opts.dir)
+	// A registry of its own: the journal counters printed below describe
+	// this directory alone.
+	reg := obs.NewRegistry()
+	st, err := store.Open(opts.dir, store.WithMetrics(reg))
 	if err != nil {
 		fmt.Fprintln(stderr, "vtstore:", err)
 		return 1
@@ -147,9 +152,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "verified %d rows across %d partitions: OK\n", n, len(st.Months()))
-		if j := st.Journal(); j != (store.JournalInfo{}) {
-			fmt.Fprintf(stdout, "journal: %d records replayed, %d unsealed rows re-fed, %d torn bytes dropped\n",
-				j.Records, j.UnsealedRows, j.TornBytes)
+		// What Open's journal replay did (records_total counts appends).
+		replayed := reg.SumCounters("store_journal_replayed_rows_total")
+		torn := reg.SumCounters("store_journal_torn_tail_total")
+		if replayed+torn > 0 {
+			fmt.Fprintf(stdout, "journal: store_journal_records_total=%d store_journal_replayed_rows_total=%d store_journal_torn_tail_total=%d\n",
+				reg.SumCounters("store_journal_records_total"), replayed, torn)
 		}
 
 	case "list":
@@ -177,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "migrate: %d partitions rewritten to v2, %d already current\n",
 			len(ms.Migrated), len(ms.Skipped))
 	}
-	if s := obs.Default().Summary(); s != "" {
+	if s := reg.Summary(); s != "" {
 		fmt.Fprintln(stderr, "vtstore metrics:", s)
 	}
 	return 0

@@ -66,74 +66,61 @@ func hashDir(t *testing.T, dir string) map[string]string {
 // per-month partition stats) and, stronger, the byte-identical
 // on-disk store: every partition file, the metadata snapshot, and the
 // stats sidecar hash equal. Worker count is a wall-clock knob only.
-//
-// The harness runs once per block format: v2's columnar members are a
-// pure per-block transcode of the rows a member holds, so the
-// byte-for-byte guarantee must hold for both encodings.
+// The subtest is named for the block format the store writes.
 func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
 	size := pipelineSize(t)
-	for _, format := range []struct {
-		name string
-		val  int
-	}{
-		{"v1", store.FormatV1},
-		{"v2", store.FormatV2},
-	} {
-		format := format
-		t.Run(format.name, func(t *testing.T) {
-			run := func(workers int) (*experiments.Table2Result, map[string]string) {
-				r, err := experiments.NewRunner(experiments.Config{
-					Seed:             1,
-					PopulationSize:   1, // unused by Table 2
-					DynamicsSize:     1, // unused by Table 2
-					CorrelationScans: 1, // unused by Table 2
-					ServiceSize:      size,
-					Workers:          workers,
-					StoreFormat:      format.val,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				dir := t.TempDir()
-				res, err := r.Table2DatasetOverview(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, hashDir(t, dir)
+	t.Run("v2", func(t *testing.T) {
+		run := func(workers int) (*experiments.Table2Result, map[string]string) {
+			r, err := experiments.NewRunner(experiments.Config{
+				Seed:             1,
+				PopulationSize:   1, // unused by Table 2
+				DynamicsSize:     1, // unused by Table 2
+				CorrelationScans: 1, // unused by Table 2
+				ServiceSize:      size,
+				Workers:          workers,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			dir := t.TempDir()
+			res, err := r.Table2DatasetOverview(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, hashDir(t, dir)
+		}
 
-			res1, files1 := run(1)
-			res8, files8 := run(8)
+		res1, files1 := run(1)
+		res8, files8 := run(8)
 
-			if !reflect.DeepEqual(res1, res8) {
-				t.Errorf("Table 2 results diverge:\nworkers=1: %+v\nworkers=8: %+v", res1, res8)
-			}
-			if res1.TotalSamples != size {
-				t.Errorf("TotalSamples = %d, want %d", res1.TotalSamples, size)
-			}
-			if res1.TotalReports == 0 || len(res1.Rows) == 0 {
-				t.Fatalf("empty pipeline output: %+v", res1)
-			}
+		if !reflect.DeepEqual(res1, res8) {
+			t.Errorf("Table 2 results diverge:\nworkers=1: %+v\nworkers=8: %+v", res1, res8)
+		}
+		if res1.TotalSamples != size {
+			t.Errorf("TotalSamples = %d, want %d", res1.TotalSamples, size)
+		}
+		if res1.TotalReports == 0 || len(res1.Rows) == 0 {
+			t.Fatalf("empty pipeline output: %+v", res1)
+		}
 
-			var names1, names8 []string
-			for n := range files1 {
-				names1 = append(names1, n)
+		var names1, names8 []string
+		for n := range files1 {
+			names1 = append(names1, n)
+		}
+		for n := range files8 {
+			names8 = append(names8, n)
+		}
+		sort.Strings(names1)
+		sort.Strings(names8)
+		if !reflect.DeepEqual(names1, names8) {
+			t.Fatalf("store file sets diverge:\nworkers=1: %v\nworkers=8: %v", names1, names8)
+		}
+		for _, name := range names1 {
+			if files1[name] != files8[name] {
+				t.Errorf("store file %s differs between workers=1 and workers=8", name)
 			}
-			for n := range files8 {
-				names8 = append(names8, n)
-			}
-			sort.Strings(names1)
-			sort.Strings(names8)
-			if !reflect.DeepEqual(names1, names8) {
-				t.Fatalf("store file sets diverge:\nworkers=1: %v\nworkers=8: %v", names1, names8)
-			}
-			for _, name := range names1 {
-				if files1[name] != files8[name] {
-					t.Errorf("store file %s differs between workers=1 and workers=8", name)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestStoreDeterminismMixedBatch pins that the on-disk bytes depend
@@ -142,65 +129,55 @@ func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
 // interleaving of Put calls and PutBatch slices must produce
 // byte-identical store directories. A small block size forces several
 // mid-stream block cuts so chunk boundaries land both inside and
-// across blocks, under both the JSONL-direct (v1) and column-direct
-// (v2) write pipelines.
+// across blocks. The subtest is named for the block format written.
 func TestStoreDeterminismMixedBatch(t *testing.T) {
 	envs := make([]report.Envelope, 0, 240)
 	for i := 0; i < 240; i++ {
 		at := storeT0.Add(time.Duration(i) * 11 * time.Hour)
 		envs = append(envs, storeEnvelope(fmt.Sprintf("mx-%03d", i%40), at, i%6))
 	}
-	for _, format := range []struct {
-		name string
-		val  int
-	}{
-		{"v1", store.FormatV1},
-		{"v2", store.FormatV2},
-	} {
-		format := format
-		t.Run(format.name, func(t *testing.T) {
-			write := func(mixed bool) map[string]string {
-				dir := t.TempDir()
-				s, err := store.Open(dir, store.WithFormat(format.val), store.WithBlockSize(4<<10))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mixed {
-					for i := 0; i < len(envs); {
-						if (i/7)%2 == 0 {
-							if err := s.Put(envs[i]); err != nil {
-								t.Fatal(err)
-							}
-							i++
-							continue
-						}
-						end := i + 9
-						if end > len(envs) {
-							end = len(envs)
-						}
-						if err := s.PutBatch(envs[i:end]); err != nil {
+	t.Run("v2", func(t *testing.T) {
+		write := func(mixed bool) map[string]string {
+			dir := t.TempDir()
+			s, err := store.Open(dir, store.WithBlockSize(4<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mixed {
+				for i := 0; i < len(envs); {
+					if (i/7)%2 == 0 {
+						if err := s.Put(envs[i]); err != nil {
 							t.Fatal(err)
 						}
-						i = end
+						i++
+						continue
 					}
-				} else {
-					for _, env := range envs {
-						if err := s.Put(env); err != nil {
-							t.Fatal(err)
-						}
+					end := i + 9
+					if end > len(envs) {
+						end = len(envs)
+					}
+					if err := s.PutBatch(envs[i:end]); err != nil {
+						t.Fatal(err)
+					}
+					i = end
+				}
+			} else {
+				for _, env := range envs {
+					if err := s.Put(env); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if err := s.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				return hashDir(t, dir)
 			}
-			plain, mixed := write(false), write(true)
-			if !reflect.DeepEqual(plain, mixed) {
-				t.Fatalf("Put-only and mixed Put/PutBatch stores diverge:\nput-only: %v\nmixed:    %v", plain, mixed)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			return hashDir(t, dir)
+		}
+		plain, mixed := write(false), write(true)
+		if !reflect.DeepEqual(plain, mixed) {
+			t.Fatalf("Put-only and mixed Put/PutBatch stores diverge:\nput-only: %v\nmixed:    %v", plain, mixed)
+		}
+	})
 }
 
 // TestPipelineDeterminismSameWorkers is the repeatability control:
@@ -239,9 +216,10 @@ func TestPipelineDeterminismSameWorkers(t *testing.T) {
 // trace in the closed store: the same campaign collected with a
 // store.Sync after every window (RunResumable) and with none (Run), at
 // one fetch worker and at eight, must Close into file-for-file
-// identical directories, with no checkpoint.log left behind — for both
-// block formats. Sync journals rows instead of cutting under-filled
-// blocks, so it also cuts none: store_blocks_cut_total must agree too.
+// identical directories, with no checkpoint.log left behind. Sync
+// journals rows instead of cutting under-filled blocks, so it also cuts
+// none: store_blocks_cut_total must agree too. The subtest is named for
+// the block format written.
 func TestStoreDeterminismCheckpointed(t *testing.T) {
 	envs := make([]report.Envelope, 0, 360)
 	for i := 0; i < 360; i++ {
@@ -249,60 +227,51 @@ func TestStoreDeterminismCheckpointed(t *testing.T) {
 		envs = append(envs, storeEnvelope(fmt.Sprintf("ck-%03d", i%50), at, i%6))
 	}
 	start, end := storeT0, storeT0.Add(360*7*time.Hour)
-	for _, format := range []struct {
-		name string
-		val  int
-	}{
-		{"v1", store.FormatV1},
-		{"v2", store.FormatV2},
-	} {
-		format := format
-		t.Run(format.name, func(t *testing.T) {
-			collect := func(checkpoint bool, workers int) (map[string]string, int64) {
-				dir := t.TempDir()
-				reg := obs.NewRegistry()
-				s, err := store.Open(dir, store.WithFormat(format.val), store.WithBlockSize(4<<10), store.WithMetrics(reg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := feed.NewCollector(&scriptedSource{envs: envs}, s)
-				c.Interval = 24 * time.Hour
-				c.Workers = workers
-				var stats feed.Stats
-				if checkpoint {
-					stats, err = c.RunResumable(context.Background(), start, end, &feed.MemCursor{})
-				} else {
-					stats, err = c.Run(context.Background(), start, end)
-				}
-				if err != nil || stats.Envelopes != len(envs) {
-					t.Fatalf("collected %d of %d envelopes: %v", stats.Envelopes, len(envs), err)
-				}
-				if records := reg.SumCounters("store_journal_records_total"); checkpoint == (records == 0) {
-					t.Fatalf("checkpoint=%v journaled %d records", checkpoint, records)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return hashDir(t, dir), reg.SumCounters("store_blocks_cut_total")
+	t.Run("v2", func(t *testing.T) {
+		collect := func(checkpoint bool, workers int) (map[string]string, int64) {
+			dir := t.TempDir()
+			reg := obs.NewRegistry()
+			s, err := store.Open(dir, store.WithBlockSize(4<<10), store.WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
 			}
-			want, wantCuts := collect(false, 1)
-			if _, ok := want["samples.jsonl.gz"]; !ok || len(want) < 5 {
-				t.Fatalf("reference store holds %v", want)
+			c := feed.NewCollector(&scriptedSource{envs: envs}, s)
+			c.Interval = 24 * time.Hour
+			c.Workers = workers
+			var stats feed.Stats
+			if checkpoint {
+				stats, err = c.RunResumable(context.Background(), start, end, &feed.MemCursor{})
+			} else {
+				stats, err = c.Run(context.Background(), start, end)
 			}
-			for _, run := range []struct {
-				checkpoint bool
-				workers    int
-			}{{false, 8}, {true, 1}, {true, 8}} {
-				got, cuts := collect(run.checkpoint, run.workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("checkpoint=%v workers=%d: directory differs from the uncheckpointed serial run:\n got %v\nwant %v",
-						run.checkpoint, run.workers, got, want)
-				}
-				if cuts != wantCuts {
-					t.Errorf("checkpoint=%v workers=%d: cut %d blocks, uncheckpointed serial run cut %d",
-						run.checkpoint, run.workers, cuts, wantCuts)
-				}
+			if err != nil || stats.Envelopes != len(envs) {
+				t.Fatalf("collected %d of %d envelopes: %v", stats.Envelopes, len(envs), err)
 			}
-		})
-	}
+			if records := reg.SumCounters("store_journal_records_total"); checkpoint == (records == 0) {
+				t.Fatalf("checkpoint=%v journaled %d records", checkpoint, records)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return hashDir(t, dir), reg.SumCounters("store_blocks_cut_total")
+		}
+		want, wantCuts := collect(false, 1)
+		if _, ok := want["samples.jsonl.gz"]; !ok || len(want) < 5 {
+			t.Fatalf("reference store holds %v", want)
+		}
+		for _, run := range []struct {
+			checkpoint bool
+			workers    int
+		}{{false, 8}, {true, 1}, {true, 8}} {
+			got, cuts := collect(run.checkpoint, run.workers)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("checkpoint=%v workers=%d: directory differs from the uncheckpointed serial run:\n got %v\nwant %v",
+					run.checkpoint, run.workers, got, want)
+			}
+			if cuts != wantCuts {
+				t.Errorf("checkpoint=%v workers=%d: cut %d blocks, uncheckpointed serial run cut %d",
+					run.checkpoint, run.workers, cuts, wantCuts)
+			}
+		}
+	})
 }

@@ -214,18 +214,16 @@ func TestMetricsIdentitiesEndToEnd(t *testing.T) {
 		t.Errorf("store_blocks_cut_total = %d before any flush: a Sync cut a block", cut)
 	}
 
-	// Block accounting: after a flush, every cut block was encoded by
-	// exactly one of the two per-format pipelines (v1 gzips the JSONL
-	// buffer, v2 seals the column builder), so the format-labelled
-	// encode counters must partition the cut count.
+	// Block accounting: after a flush, every cut block was sealed and
+	// gzipped exactly once, so each pipeline histogram counts the cuts.
 	if err := p.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	cut := p.counter("store_blocks_cut_total")
-	encV1 := p.counter("store_blocks_encoded_total", "format", "v1")
-	encV2 := p.counter("store_blocks_encoded_total", "format", "v2")
-	if encV1+encV2 != cut {
-		t.Errorf("store_blocks_encoded_total v1 %d + v2 %d != store_blocks_cut_total %d", encV1, encV2, cut)
+	for _, name := range []string{"store_block_encode_seconds", "store_block_compress_seconds"} {
+		if n := p.reg.Histogram(name, obs.DefBuckets).Snapshot().Count; n != cut {
+			t.Errorf("%s count %d != store_blocks_cut_total %d", name, n, cut)
+		}
 	}
 	if cut == 0 {
 		t.Error("store_blocks_cut_total = 0 after flush; block identity test is vacuous")

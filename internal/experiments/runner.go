@@ -70,12 +70,6 @@ type Config struct {
 	// worker count never changes results, only wall time (proved by
 	// the internal/concurrency determinism harness).
 	Workers int
-	// StoreFormat selects the block format the Table 2 pipeline's
-	// store writes (store.FormatV1, store.FormatV2). Zero means the
-	// store package's default. The format never changes experiment
-	// results, only on-disk encoding (proved by the determinism
-	// harness, which runs both).
-	StoreFormat int
 }
 
 func (c Config) withDefaults() Config {

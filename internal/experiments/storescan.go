@@ -58,11 +58,7 @@ func (r *Runner) runPipelineStore(dir string) (feed.Stats, error) {
 	if err := vtsim.RunWorkload(svc, clock, samples); err != nil {
 		return feed.Stats{}, err
 	}
-	var opts []store.Option
-	if r.cfg.StoreFormat != 0 {
-		opts = append(opts, store.WithFormat(r.cfg.StoreFormat))
-	}
-	st, err := store.Open(dir, opts...)
+	st, err := store.Open(dir)
 	if err != nil {
 		return feed.Stats{}, err
 	}

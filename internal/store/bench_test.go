@@ -128,7 +128,15 @@ func BenchmarkGetIndexed(b *testing.B) {
 // store: the row-format baseline the columnar Get path is judged
 // against.
 func BenchmarkGetIndexedV1(b *testing.B) {
-	s := buildReadStore(b, b.TempDir(), WithCacheSize(0), WithFormat(FormatV1))
+	dir := b.TempDir()
+	if err := buildReadStore(b, dir).Close(); err != nil {
+		b.Fatal(err)
+	}
+	writeV1Store(b, dir)
+	s, err := Open(dir, WithCacheSize(0))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Get(benchSHA(i * 7919)); err != nil {
@@ -218,10 +226,7 @@ func benchColReports() []*report.ScanReport {
 }
 
 // BenchmarkDirectColumnarEncode measures the write path's per-block
-// encode work under the direct builder: fold every row into column
-// state, then seal. Its twin below measures the same block through
-// the flush-time transcode this path replaced; the pair plus
-// -benchmem shows what zero-transcode ingest saves per block.
+// encode work: fold every row into column state, then seal.
 func BenchmarkDirectColumnarEncode(b *testing.B) {
 	reports := benchColReports()
 	lineLens := make([]int, len(reports))
@@ -243,28 +248,6 @@ func BenchmarkDirectColumnarEncode(b *testing.B) {
 		}
 		payload = bl.seal(payload[:0])
 		putColBuilder(bl)
-	}
-	if len(payload) == 0 {
-		b.Fatal("empty payload")
-	}
-}
-
-// BenchmarkTranscodeColumnarEncode is the reference twin: encode the
-// same block by re-parsing its JSONL buffer at flush time
-// (appendColumnarBlock), the way the v2 write path worked before the
-// direct builder.
-func BenchmarkTranscodeColumnarEncode(b *testing.B) {
-	raw := rawBlockFor(benchColReports())
-	var payload []byte
-	var err error
-	b.ReportAllocs()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload, err = appendColumnarBlock(payload[:0], raw)
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 	if len(payload) == 0 {
 		b.Fatal("empty payload")

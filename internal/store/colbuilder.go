@@ -1,16 +1,15 @@
 // Streaming v2 block encoder: column state built directly from rows.
 //
-// colBuilder is the write-path twin of appendColumnarBlock. The
-// transcode path materializes a block as JSONL, then re-parses every
-// line at flush time to build the columnar payload; the builder skips
-// the round trip and folds each scan into per-block dictionaries and
-// column segments as the row arrives, so sealing a block at cut time
-// is a pure concatenation — no parsing, no intermediate buffer.
+// colBuilder is the one encoder of v2 blocks. It folds each scan into
+// per-block dictionaries and column segments as the row arrives, so
+// sealing a block at cut time is a pure concatenation — no parsing, no
+// intermediate buffer.
 //
-// The non-negotiable contract is byte identity: for any sequence of
-// rows, seal() must emit exactly the bytes
-// appendColumnarBlock(nil, <the rows' JSONL lines>) emits. That holds
-// because both paths normalize through the same pipeline — validUTF8
+// The non-negotiable contract is byte identity with the format's
+// definition: for any sequence of rows, seal() must emit exactly the
+// bytes a transcode of the rows' v1 JSONL lines emits (the reference
+// transcoder lives in colbuilder_test.go). That
+// holds because both normalize through the same pipeline — validUTF8
 // on every string (JSON escape→unescape of a valid-UTF-8 string is
 // the identity, so the transcode's decoded dictionary values equal
 // the normalized inputs), unix() zero-preserving timestamps, int8
@@ -102,8 +101,8 @@ func putColBuilder(b *colBuilder) {
 // of the row's v1 JSONL line (sans newline) — the builder never needs
 // the line's bytes, only its length, for the header's rawBytes field.
 // The normalization below must stay in lockstep with appendScanRow /
-// decodeScanRow: that equivalence is what makes the direct payload
-// byte-identical to the transcoded one.
+// decodeScanRow: that equivalence is what makes the payload
+// byte-identical to a transcode of the rows' v1 lines.
 func (b *colBuilder) addRow(scan *report.ScanReport, lineLen int) {
 	b.rows++
 	b.rawBytes += int64(lineLen)
@@ -164,8 +163,7 @@ func (b *colBuilder) zone() blockZone {
 }
 
 // seal appends the finished v2 payload to dst: header, dictionaries,
-// verdict bitmap, column segments — byte-for-byte what
-// appendColumnarBlock emits for the same rows. Sealing is pure
+// verdict bitmap, column segments. Sealing is pure
 // encoding and cannot fail; it does not consume the builder (callers
 // recycle it with putColBuilder when done).
 func (b *colBuilder) seal(dst []byte) []byte {

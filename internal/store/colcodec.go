@@ -25,27 +25,23 @@
 //	             varint signature version, uvarint label-dict index+1
 //	             (0 = no label)
 //
-// Two encoders produce this payload. The write path builds columns
-// directly from rows as they arrive (colBuilder, colbuilder.go); the
-// transcode below consumes a raw v1 JSONL block and re-parses it row
-// by row — the migration path (vtstore migrate) and the reference the
-// direct builder is differential-fuzzed against. Both are pure
-// functions of the member's input rows, so block bytes stay
-// independent of worker count and compression timing (determinism
-// suite). Decoded vocabulary is interned through internal/report, so
-// every block in a scan shares one string per distinct
-// engine/label/file-type.
+// One encoder produces this payload: the write path builds columns
+// directly from rows as they arrive (colBuilder, colbuilder.go), for
+// ingest and for vtstore migrate alike. It is a pure function of the
+// member's input rows, so block bytes stay independent of worker count
+// and compression timing (determinism suite). Decoded vocabulary is
+// interned through internal/report, so every block in a scan shares
+// one string per distinct engine/label/file-type.
 //
 // FuzzColumnarRowDifferential pins the codec against the v1 row
 // codec: encode→decode→re-encode to v1 lines must be the identity.
-// FuzzDirectColumnarDifferential pins the two encoders against each
-// other byte-for-byte.
+// FuzzDirectColumnarDifferential pins the builder byte-for-byte against
+// a reference transcoder of v1 JSONL blocks kept in the tests.
 package store
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"vtdynamics/internal/report"
 )
@@ -115,106 +111,6 @@ func appendDict(dst []byte, vals []string) []byte {
 		dst = append(dst, v...)
 	}
 	return dst
-}
-
-// appendColumnarBlock transcodes one raw v1 block (newline-terminated
-// JSONL rows, exactly what the partition writer accumulates) into a
-// v2 columnar payload appended to dst.
-func appendColumnarBlock(dst []byte, raw []byte) ([]byte, error) {
-	var (
-		shaD, ftD, engD, labD colDict
-		segs                  [numColSegs][]byte
-		verdicts              []int8
-		packable              = true
-		rows                  int
-		rawBytes              int64
-		prevAt                int64
-		row                   scanRow
-	)
-	for len(raw) > 0 {
-		nl := 0
-		for nl < len(raw) && raw[nl] != '\n' {
-			nl++
-		}
-		line := raw[:nl]
-		if nl < len(raw) {
-			raw = raw[nl+1:]
-		} else {
-			raw = nil
-		}
-		if len(line) == 0 {
-			continue
-		}
-		if err := decodeScanRow(line, &row); err != nil {
-			return nil, fmt.Errorf("store: columnar encode: %w", err)
-		}
-		rows++
-		rawBytes += int64(len(line))
-		segs[segSHA] = binary.AppendUvarint(segs[segSHA], uint64(shaD.id(row.SHA)))
-		segs[segTime] = binary.AppendVarint(segs[segTime], row.At-prevAt)
-		prevAt = row.At
-		segs[segFT] = binary.AppendUvarint(segs[segFT], uint64(ftD.id(row.FT)))
-		segs[segRank] = binary.AppendVarint(segs[segRank], int64(row.Rank))
-		segs[segTot] = binary.AppendVarint(segs[segTot], int64(row.Tot))
-		segs[segNRes] = binary.AppendUvarint(segs[segNRes], uint64(len(row.Res)))
-		for _, rr := range row.Res {
-			verdicts = append(verdicts, rr.V)
-			if rr.V < -1 || rr.V > 1 {
-				packable = false
-			}
-			segs[segRes] = binary.AppendUvarint(segs[segRes], uint64(engD.id(rr.E)))
-			segs[segRes] = binary.AppendVarint(segs[segRes], int64(rr.S))
-			if rr.L == "" {
-				segs[segRes] = binary.AppendUvarint(segs[segRes], 0)
-			} else {
-				segs[segRes] = binary.AppendUvarint(segs[segRes], uint64(labD.id(rr.L)+1))
-			}
-		}
-	}
-	// Verdict bitmap: packed two-bit codes when every verdict is
-	// canonical, one varint per result otherwise.
-	if packable {
-		segs[segVerdict] = append(segs[segVerdict], verdictFlagPacked)
-		var cur byte
-		for i, v := range verdicts {
-			var code byte
-			switch report.Verdict(v) {
-			case report.Benign:
-				code = vbBenign
-			case report.Malicious:
-				code = vbMalicious
-			default:
-				code = vbUndetected
-			}
-			cur |= code << ((i % 4) * 2)
-			if i%4 == 3 {
-				segs[segVerdict] = append(segs[segVerdict], cur)
-				cur = 0
-			}
-		}
-		if len(verdicts)%4 != 0 {
-			segs[segVerdict] = append(segs[segVerdict], cur)
-		}
-	} else {
-		segs[segVerdict] = append(segs[segVerdict], 0)
-		for _, v := range verdicts {
-			segs[segVerdict] = binary.AppendVarint(segs[segVerdict], int64(v))
-		}
-	}
-
-	dst = append(dst, colMagic...)
-	dst = append(dst, FormatV2)
-	dst = binary.AppendUvarint(dst, uint64(rows))
-	dst = binary.AppendUvarint(dst, uint64(rawBytes))
-	dst = appendDict(dst, shaD.vals)
-	dst = appendDict(dst, ftD.vals)
-	dst = appendDict(dst, engD.vals)
-	dst = appendDict(dst, labD.vals)
-	for _, seg := range segs[:] {
-		dst = binary.AppendUvarint(dst, uint64(len(seg)))
-		dst = append(dst, seg...)
-	}
-	return dst, nil
 }
 
 // colCursor walks a payload with bounds checking.

@@ -43,11 +43,9 @@ func (r readRunner) supportsVariant(v formatVariant) bool {
 	return v.maxVer <= r.maxFormat
 }
 
-// open opens dir under this runner's format cap. The write format is
-// capped too: an old build's default writer matched its newest
-// readable format.
+// open opens dir under this runner's format cap.
 func (r readRunner) open(dir string) (*Store, error) {
-	return Open(dir, withMaxFormat(r.maxFormat), WithFormat(r.maxFormat))
+	return Open(dir, withMaxFormat(r.maxFormat))
 }
 
 func conformanceVariants() []formatVariant {
@@ -56,15 +54,17 @@ func conformanceVariants() []formatVariant {
 			name:   "writer-v1",
 			maxVer: FormatV1,
 			write: func(t *testing.T, dir string) {
-				writeGoldenStore(t, dir, WithFormat(FormatV1), WithBlockSize(2<<10))
+				// A v1 store a v2 build has opened and closed: Open
+				// indexed it, Close persisted the sidecars.
+				writeGoldenV1(t, dir, WithBlockSize(2<<10))
+				reopen(t, dir)
 			},
 		},
 		{
 			name:   "writer-v1-no-sidecar",
 			maxVer: FormatV1,
 			write: func(t *testing.T, dir string) {
-				writeGoldenStore(t, dir, WithFormat(FormatV1), WithBlockSize(2<<10))
-				stripSidecars(t, dir)
+				writeGoldenV1(t, dir, WithBlockSize(2<<10))
 			},
 		},
 		{
@@ -86,7 +86,7 @@ func conformanceVariants() []formatVariant {
 			name:   "v1-migrated-to-v2",
 			maxVer: FormatV2,
 			write: func(t *testing.T, dir string) {
-				writeGoldenStore(t, dir, WithFormat(FormatV1), WithBlockSize(2<<10))
+				writeGoldenV1(t, dir, WithBlockSize(2<<10))
 				s, err := Open(dir)
 				if err != nil {
 					t.Fatal(err)
@@ -104,7 +104,7 @@ func conformanceVariants() []formatVariant {
 				// appended by a v2 build: months hold members of both
 				// formats side by side.
 				envs := goldenEnvelopes()
-				s1, err := Open(dir, WithFormat(FormatV1), WithBlockSize(2<<10))
+				s1, err := Open(dir, WithBlockSize(2<<10))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,6 +116,7 @@ func conformanceVariants() []formatVariant {
 				if err := s1.Close(); err != nil {
 					t.Fatal(err)
 				}
+				writeV1Store(t, dir)
 				s2, err := Open(dir, WithBlockSize(2<<10))
 				if err != nil {
 					t.Fatal(err)
@@ -171,7 +172,7 @@ func copyFixtureInto(t *testing.T, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {
-		t.Fatalf("fixture %s missing (run with VTDYN_REGEN_GOLDEN=1 to create): %v", src, err)
+		t.Fatalf("fixture %s missing: %v", src, err)
 	}
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(src, e.Name()))

@@ -4,9 +4,9 @@
 // ("blocks"). What a member's *decompressed payload* holds comes in
 // versions:
 //
-//	v1  JSONL — one compact scan row (rowcodec.go) per line. The
-//	    format every build of this package has ever written; readable
-//	    forever.
+//	v1  JSONL — one compact scan row (rowcodec.go) per line. What
+//	    earlier builds wrote; readable forever, written no more
+//	    (vtstore migrate rewrites it to v2).
 //	v2  columnar — a "VTCB" magic header followed by per-block
 //	    dictionaries and column segments (colcodec.go). Scans and
 //	    StatsByType decode only the columns they need.
@@ -32,7 +32,8 @@ const (
 	// FormatV2 is the dictionary-encoded columnar block encoding.
 	FormatV2 = 2
 
-	// FormatDefault is what new writes use unless WithFormat overrides.
+	// FormatDefault is the format every new block is written in, by
+	// ingest and by Migrate alike. Older versions stay readable.
 	FormatDefault = FormatV2
 
 	// formatMax is the newest version this build reads and writes.

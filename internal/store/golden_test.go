@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"vtdynamics/internal/bufpool"
 	"vtdynamics/internal/report"
 )
 
@@ -90,34 +94,161 @@ func writeGoldenStore(t *testing.T, dir string, opts ...Option) {
 	}
 }
 
-// TestRegenerateGoldenFixture rebuilds the committed fixtures. It only
-// runs when VTDYN_REGEN_GOLDEN=1 is set; generation is deterministic
-// (fixed clock, sorted snapshots, zero gzip mtimes), so regenerating
-// without a format change is a no-op diff.
-func TestRegenerateGoldenFixture(t *testing.T) {
-	if os.Getenv("VTDYN_REGEN_GOLDEN") == "" {
-		t.Skip("set VTDYN_REGEN_GOLDEN=1 to regenerate testdata/golden-v1 and golden-v2")
-	}
-	if err := os.RemoveAll(goldenDir); err != nil {
-		t.Fatal(err)
-	}
-	// v1 fixture: explicit legacy format, and a huge block target so
-	// every flush cuts exactly one gzip member — the shape the
-	// pre-block writer produced.
-	writeGoldenStore(t, goldenDir, WithFormat(FormatV1), WithBlockSize(1<<30))
-	// Strip the sidecars: the fixture predates them.
-	matches, err := filepath.Glob(filepath.Join(goldenDir, "*.idx"))
+// writeV1Store converts the closed store in dir to block format v1,
+// what builds before v2 wrote: every block is re-emitted as one gzip
+// member of its rows' JSONL lines (the writer cuts at the same rows in
+// both formats), stats.json is rewritten over the new partition sizes,
+// and the sidecars go, since v1-era stores predate them.
+func writeV1Store(t testing.TB, dir string) {
+	t.Helper()
+	parts, err := filepath.Glob(filepath.Join(dir, "scans-*.jsonl.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range matches {
+	for _, path := range parts {
+		ix, _, _, err := indexPartition(path, formatMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		for _, bm := range ix.snapshotBlocks() {
+			var payload []byte
+			if err := scanBlock(path, bm, formatMax, func(row scanRow) {
+				payload = append(appendScanRow(payload, rowToReport(row)), '\n')
+			}); err != nil {
+				t.Fatal(err)
+			}
+			zw := bufpool.GetGzipWriter(&out)
+			_, werr := zw.Write(payload)
+			if cerr := zw.Close(); werr == nil {
+				werr = cerr
+			}
+			bufpool.PutGzipWriter(zw)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+		}
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen(t, dir)
+	idx, err := filepath.Glob(filepath.Join(dir, "*.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range idx {
 		if err := os.Remove(m); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
 
-	// v2 fixture: current default format with a small block target so
-	// partitions hold several columnar members, sidecars kept.
+// reopen opens and closes the store in dir: Open indexes what lacks a
+// sidecar, Close persists the sidecars and rewrites the snapshots.
+func reopen(t testing.TB, dir string) {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeGoldenV1 materializes the golden dataset as a v1 store.
+func writeGoldenV1(t *testing.T, dir string, opts ...Option) {
+	t.Helper()
+	writeGoldenStore(t, dir, opts...)
+	writeV1Store(t, dir)
+}
+
+// TestV1HelperReproducesGoldenV1 pins writeV1Store as a faithful stand-in
+// for the retired v1 writer: at the committed fixture's settings (one
+// member per flush) it reproduces every file of testdata/golden-v1.
+func TestV1HelperReproducesGoldenV1(t *testing.T) {
+	dir := t.TempDir()
+	writeGoldenV1(t, dir, WithBlockSize(1<<30))
+	checkSameFiles(t, dir, goldenDir)
+}
+
+// checkSameFiles asserts that dir holds exactly fixture's files, byte
+// for byte.
+func checkSameFiles(t *testing.T, dir, fixture string) {
+	t.Helper()
+	if got, want := dirSums(t, dir), dirSums(t, fixture); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s differs from %s:\n got %v\nwant %v", dir, fixture, got, want)
+	}
+}
+
+// dirSums maps every file in dir to the hex SHA-256 of its bytes.
+func dirSums(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		out[e.Name()] = hex.EncodeToString(sum[:])
+	}
+	return out
+}
+
+// TestFrozenFixturesUnchanged pins the committed store fixtures byte
+// for byte. golden-v1 and golden-v2-legacy-idx are what earlier builds
+// wrote and cannot be regenerated; golden-v2 is regenerated only by a
+// deliberate format change (TestRegenerateGoldenFixture), which must
+// update its sums here too.
+func TestFrozenFixturesUnchanged(t *testing.T) {
+	want := map[string]map[string]string{
+		goldenDir: {
+			"samples.jsonl.gz":       "365337b28c3935e2af74cd86d82b353a03f9b27329eaaae4ecfe34d2d39aaba9",
+			"scans-2021-05.jsonl.gz": "5bfc585eafa222116675e9dd64efdb788deb4fe889d55e285b90e9a3ce34ebd0",
+			"scans-2021-06.jsonl.gz": "bb51ff9c9c484ecc17909a60b4f4bf5348738254835b11569843fab2b4074e35",
+			"stats.json":             "03b688ceb75d10078c5ec4c1eb23e9f43d81334943d924fa0f6a5d53b5515d00",
+		},
+		goldenDirV2: {
+			"samples.jsonl.gz":       "365337b28c3935e2af74cd86d82b353a03f9b27329eaaae4ecfe34d2d39aaba9",
+			"scans-2021-05.idx":      "c6267182263450716173738b55fae2700ccef1ea6881b1242ebef298fd4d02c6",
+			"scans-2021-05.jsonl.gz": "d4edeffa2360f6080858cce15f9dfdf08eb718e8aaff87d29bac78d979ee2167",
+			"scans-2021-06.idx":      "4265be776c4555d9bf8913ba4e76327ad9dae8a60e660e322f1a5026718cef65",
+			"scans-2021-06.jsonl.gz": "75741a5bc6e515ab1c9ecc533a4adba8c351453286bf86bedb5195fd2c20c22d",
+			"stats.json":             "57c84cedfa98102c73d10d49abd4a781b6ce5f785a4cd58fc4e00e944dcf89ec",
+		},
+		goldenDirLegacyIdx: {
+			"samples.jsonl.gz":       "365337b28c3935e2af74cd86d82b353a03f9b27329eaaae4ecfe34d2d39aaba9",
+			"scans-2021-05.idx":      "753cb77c56e8f622fc64a285f35da058eeb988fa067668b4fce8b3f931f66f1c",
+			"scans-2021-05.jsonl.gz": "d4edeffa2360f6080858cce15f9dfdf08eb718e8aaff87d29bac78d979ee2167",
+			"scans-2021-06.idx":      "053b9d11ca9cb2fe2e3c10ea1892c6776b28e287ef104f5ff343ebf8ee118534",
+			"scans-2021-06.jsonl.gz": "75741a5bc6e515ab1c9ecc533a4adba8c351453286bf86bedb5195fd2c20c22d",
+			"stats.json":             "57c84cedfa98102c73d10d49abd4a781b6ce5f785a4cd58fc4e00e944dcf89ec",
+		},
+	}
+	for dir, sums := range want {
+		if got := dirSums(t, dir); !reflect.DeepEqual(got, sums) {
+			t.Errorf("%s drifted from its pinned bytes:\n got %v\nwant %v", dir, got, sums)
+		}
+	}
+}
+
+// TestRegenerateGoldenFixture rebuilds the committed golden-v2 fixture.
+// It only runs when VTDYN_REGEN_GOLDEN=1 is set; generation is
+// deterministic (fixed clock, sorted snapshots, zero gzip mtimes), so
+// regenerating without a format change is a no-op diff. golden-v1 is
+// frozen: no build writes v1 any more.
+func TestRegenerateGoldenFixture(t *testing.T) {
+	if os.Getenv("VTDYN_REGEN_GOLDEN") == "" {
+		t.Skip("set VTDYN_REGEN_GOLDEN=1 to regenerate testdata/golden-v2")
+	}
+	// A small block target so partitions hold several columnar
+	// members, sidecars kept.
 	if err := os.RemoveAll(goldenDirV2); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +299,7 @@ func copyFixture(t *testing.T, src string) string {
 	dst := t.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {
-		t.Fatalf("fixture %s missing (run with VTDYN_REGEN_GOLDEN=1 to create): %v", src, err)
+		t.Fatalf("fixture %s missing: %v", src, err)
 	}
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(src, e.Name()))

@@ -333,29 +333,11 @@ func zeroToEOF(r io.Reader) (bool, error) {
 	}
 }
 
-// JournalInfo is what Open's replay of checkpoint.log found, for the
-// one caller that reports on a single directory (vtstore verify). The
-// store_journal_* counters cannot stand in for it: records_total counts
-// records this process appended, not those it replayed, torn_tail_total
-// counts events, not bytes, and a registry may be shared between stores.
-type JournalInfo struct {
-	// Records is the number of whole checkpoint records replayed.
-	Records int
-	// UnsealedRows is the number of journaled rows no sealed block held,
-	// re-fed to their months' writers.
-	UnsealedRows int
-	// TornBytes is the length of a dropped, unacknowledged final record.
-	TornBytes int64
-}
-
-// Journal reports what Open recovered from the checkpoint journal; the
-// zero value means the directory held none.
-func (s *Store) Journal() JournalInfo { return s.jinfo }
-
 func (s *Store) journalPath() string { return filepath.Join(s.dir, journalName) }
 
-// step is the crash-enumeration hook: tests stop a fold after any of
-// its writes by returning an error from foldStep.
+// step is the crash-enumeration hook: tests stop a fold, a snapshot
+// write or a migration after any of its writes by returning an error
+// from foldStep.
 func (s *Store) step(name string) error {
 	if s.foldStep != nil {
 		return s.foldStep(name)
@@ -388,7 +370,6 @@ func (s *Store) replayJournal() error {
 	months := make(map[string]*replayMonth)
 	var row scanRow
 	goodEnd, torn, err := readJournal(f, func(rec *journalRecord) error {
-		s.jinfo.Records++
 		for i := range rec.Metas {
 			m := &rec.Metas[i]
 			s.shardFor(m.SHA).samples[m.SHA] = m.toMeta()
@@ -467,12 +448,8 @@ func (s *Store) replayJournal() error {
 	}
 	s.jsize = goodEnd
 	if torn {
-		if fi, err := f.Stat(); err == nil {
-			s.jinfo.TornBytes = fi.Size() - goodEnd
-		}
 		s.m.journalTorn.Inc()
 	}
-	s.m.journalReplayed.Add(int64(s.jinfo.UnsealedRows))
 	return nil
 }
 
@@ -489,7 +466,7 @@ func (s *Store) ensureSample(sha, fileType string) {
 
 // replayedRow restores what Put's indexEncoded did for a re-fed row.
 func (s *Store) replayedRow(month string, row *scanRow) {
-	s.jinfo.UnsealedRows++
+	s.m.journalReplayed.Inc()
 	s.ensureSample(row.SHA, row.FT)
 	s.addMonth(row.SHA, month)
 }

@@ -18,8 +18,8 @@ import (
 	"vtdynamics/internal/report"
 )
 
-// withFoldStep is the journal's test hook: a callback that stops a fold
-// (or a snapshot write) after a named step.
+// withFoldStep is the crash-enumeration test hook: a callback that stops
+// a fold, a snapshot write or a migration after a named step.
 func withFoldStep(fn func(step string) error) Option { return func(s *Store) { s.foldStep = fn } }
 
 // journalCampaign is a Sync-per-poll campaign in miniature: 24 windows
@@ -129,110 +129,108 @@ func journalSize(t *testing.T, dir string) int64 {
 // once the record is whole), with every acknowledged row exactly once —
 // across the two exactly-once traps the campaign contains: blocks that
 // fill between two Syncs, and Gets whose read-your-writes cut seals
-// rows the journal already carries.
+// rows the journal already carries. The subtest is named for the block
+// format the campaign writes.
 func TestJournalTornFinalRecordEveryLength(t *testing.T) {
-	for _, format := range []int{FormatV1, FormatV2} {
-		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
-			dir := t.TempDir()
-			reg := obs.NewRegistry()
-			s, err := Open(dir, WithFormat(format), WithBlockSize(1<<10), WithMetrics(reg))
-			if err != nil {
+	t.Run("v2", func(t *testing.T) {
+		dir := t.TempDir()
+		reg := obs.NewRegistry()
+		s, err := Open(dir, WithBlockSize(1<<10), WithMetrics(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := func() int64 { return reg.SumCounters("store_blocks_cut_total") }
+		// The record the kill tears is a one-row poll: every byte of it
+		// is a case below.
+		wins := append(journalCampaign(), []report.Envelope{envelope("jr-last", t0.Add(500*time.Hour), 0)})
+		var (
+			put             []report.Envelope
+			before          storeState
+			putBefore       int
+			sizeBefore      int64
+			filled, readCut int64
+		)
+		for i, win := range wins {
+			c0 := cuts()
+			if err := s.PutBatch(win); err != nil {
 				t.Fatal(err)
 			}
-			cuts := func() int64 { return reg.SumCounters("store_blocks_cut_total") }
-			// The record the kill tears is a one-row poll: every byte of it
-			// is a case below.
-			wins := append(journalCampaign(), []report.Envelope{envelope("jr-last", t0.Add(500*time.Hour), 0)})
-			var (
-				put             []report.Envelope
-				before          storeState
-				putBefore       int
-				sizeBefore      int64
-				filled, readCut int64
-			)
-			for i, win := range wins {
-				c0 := cuts()
-				if err := s.PutBatch(win); err != nil {
+			put = append(put, win...)
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			// Blocks count when they commit, which for one cut by the
+			// PutBatch may be inside Sync's wait for the writer's queue.
+			c1 := cuts()
+			filled += c1 - c0
+			if i%5 == 1 { // seal rows the record above just journaled
+				if _, err := s.Get(win[0].Scan.SHA256); err != nil {
 					t.Fatal(err)
 				}
-				put = append(put, win...)
-				if err := s.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				// Blocks count when they commit, which for one cut by the
-				// PutBatch may be inside Sync's wait for the writer's queue.
-				c1 := cuts()
-				filled += c1 - c0
-				if i%5 == 1 { // seal rows the record above just journaled
-					if _, err := s.Get(win[0].Scan.SHA256); err != nil {
-						t.Fatal(err)
-					}
-					readCut += cuts() - c1
-				}
-				if i == len(wins)-2 {
-					before, putBefore, sizeBefore = stateOf(s), len(put), journalSize(t, dir)
-				}
+				readCut += cuts() - c1
 			}
-			after, sizeAfter := stateOf(s), journalSize(t, dir)
-			if filled == 0 || readCut == 0 {
-				t.Fatalf("campaign has %d fill cuts and %d read cuts between Syncs; both traps must occur", filled, readCut)
+			if i == len(wins)-2 {
+				before, putBefore, sizeBefore = stateOf(s), len(put), journalSize(t, dir)
 			}
-			if after.total.StoredBytes == 0 || after.total.StoredBytes >= after.total.RawBytes {
-				t.Fatalf("live StoredBytes = %d beside %d raw: committed blocks not accounted", after.total.StoredBytes, after.total.RawBytes)
-			}
-			// s is abandoned un-Closed here, like a killed process.
+		}
+		after, sizeAfter := stateOf(s), journalSize(t, dir)
+		if filled == 0 || readCut == 0 {
+			t.Fatalf("campaign has %d fill cuts and %d read cuts between Syncs; both traps must occur", filled, readCut)
+		}
+		if after.total.StoredBytes == 0 || after.total.StoredBytes >= after.total.RawBytes {
+			t.Fatalf("live StoredBytes = %d beside %d raw: committed blocks not accounted", after.total.StoredBytes, after.total.RawBytes)
+		}
+		// s is abandoned un-Closed here, like a killed process.
 
-			orig, err := os.ReadFile(filepath.Join(dir, journalName))
-			if err != nil {
+		orig, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// recoverAt reopens a copy whose journal is cut at size and then,
+		// when zeroTo is larger, extended with zeros to zeroTo — what a
+		// power loss leaves of an append whose size update outran its data.
+		recoverAt := func(size, zeroTo int64) {
+			cp := copyDir(t, dir)
+			cut := append(orig[:size:size], make([]byte, max(size, zeroTo)-size)...)
+			if err := os.WriteFile(filepath.Join(cp, journalName), cut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			// recoverAt reopens a copy whose journal is cut at size and then,
-			// when zeroTo is larger, extended with zeros to zeroTo — what a
-			// power loss leaves of an append whose size update outran its data.
-			recoverAt := func(size, zeroTo int64) {
-				cp := copyDir(t, dir)
-				cut := append(orig[:size:size], make([]byte, max(size, zeroTo)-size)...)
-				if err := os.WriteFile(filepath.Join(cp, journalName), cut, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				re, rreg, _ := openCounting(t, cp, WithFormat(format), WithBlockSize(1<<10))
-				want, acked, tornBytes := before, put[:putBefore], int64(len(cut))-sizeBefore
-				// The last record is whole from size on if zeros are all it ends in.
-				if bytes.HasPrefix(cut, orig) {
-					want, acked, tornBytes = after, put, int64(len(cut))-sizeAfter
-				}
-				info := re.Journal()
-				if got := rreg.SumCounters("store_journal_torn_tail_total"); (got == 1) != (tornBytes > 0) || info.TornBytes != tornBytes {
-					t.Fatalf("journal cut at %d, zeros to %d: %d torn tails of %d bytes counted, want %d bytes",
-						size, zeroTo, got, info.TornBytes, tornBytes)
-				}
-				if info.UnsealedRows == 0 || info.UnsealedRows >= len(acked) {
-					t.Fatalf("journal cut at %d: %d of %d rows replayed; sealed rows must be skipped, pending ones re-fed", size, info.UnsealedRows, len(acked))
-				}
-				checkRecovered(t, re, want, acked)
-				if size%32 != 0 && size != sizeBefore+1 && size != sizeAfter {
-					return
-				}
-				// The recovered store keeps checkpointing over the dropped tail.
-				more := envelope("jr-more", t0.Add(1000*time.Hour), 2)
-				if err := re.Put(more); err != nil {
-					t.Fatal(err)
-				}
-				if err := re.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				closeLeavesNoJournal(t, re, cp, len(acked)+1)
+			re, rreg, _ := openCounting(t, cp, WithBlockSize(1<<10))
+			want, acked, tornBytes := before, put[:putBefore], int64(len(cut))-sizeBefore
+			// The last record is whole from size on if zeros are all it ends in.
+			if bytes.HasPrefix(cut, orig) {
+				want, acked, tornBytes = after, put, int64(len(cut))-sizeAfter
 			}
-			for size := sizeBefore; size <= sizeAfter; size++ {
-				recoverAt(size, 0)
-				if d := size - sizeBefore; d <= journalFrameHdr+1 || d%16 == 0 || size == sizeAfter {
-					recoverAt(size, sizeAfter)      // the record's extent, zero from size on
-					recoverAt(size, size+1)         // shorter than a frame header
-					recoverAt(size, sizeAfter+4096) // a whole zero page behind it
-				}
+			if got := rreg.SumCounters("store_journal_torn_tail_total"); (got == 1) != (tornBytes > 0) || int64(len(cut))-re.jsize != tornBytes {
+				t.Fatalf("journal cut at %d, zeros to %d: %d torn tails of %d bytes counted, want %d bytes",
+					size, zeroTo, got, int64(len(cut))-re.jsize, tornBytes)
 			}
-		})
-	}
+			if n := rreg.SumCounters("store_journal_replayed_rows_total"); n == 0 || n >= int64(len(acked)) {
+				t.Fatalf("journal cut at %d: %d of %d rows replayed; sealed rows must be skipped, pending ones re-fed", size, n, len(acked))
+			}
+			checkRecovered(t, re, want, acked)
+			if size%32 != 0 && size != sizeBefore+1 && size != sizeAfter {
+				return
+			}
+			// The recovered store keeps checkpointing over the dropped tail.
+			more := envelope("jr-more", t0.Add(1000*time.Hour), 2)
+			if err := re.Put(more); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			closeLeavesNoJournal(t, re, cp, len(acked)+1)
+		}
+		for size := sizeBefore; size <= sizeAfter; size++ {
+			recoverAt(size, 0)
+			if d := size - sizeBefore; d <= journalFrameHdr+1 || d%16 == 0 || size == sizeAfter {
+				recoverAt(size, sizeAfter)      // the record's extent, zero from size on
+				recoverAt(size, size+1)         // shorter than a frame header
+				recoverAt(size, sizeAfter+4096) // a whole zero page behind it
+			}
+		}
+	})
 }
 
 // TestJournalFoldCrashEveryStep stops a fold — one that Sync started
@@ -591,6 +589,66 @@ func TestFoldsAreAmortised(t *testing.T) {
 	}
 }
 
+// TestJournalResumesOverV1Months is the upgrade path of an old
+// collector directory: a v1 store gets v2 rows Put into its months
+// under a Sync per poll, and the process dies. Open must replay the
+// journal onto the v1-sealed months and bring back every row exactly
+// once, v1 and v2 alike.
+func TestJournalResumesOverV1Months(t *testing.T) {
+	dir := t.TempDir()
+	writeGoldenV1(t, dir, WithBlockSize(2<<10))
+	s, err := Open(dir, WithBlockSize(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int)
+	for _, env := range goldenEnvelopes() {
+		want[rowKey(env.Scan.SHA256, env.Scan.AnalysisDate)]++
+	}
+	for _, win := range journalCampaign() {
+		if err := s.PutBatch(win); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, env := range win {
+			want[rowKey(env.Scan.SHA256, env.Scan.AnalysisDate)]++
+		}
+	}
+	// s is abandoned un-Closed here, like a killed process.
+
+	re, reg, _ := openCounting(t, dir, WithBlockSize(1<<10))
+	if n := reg.SumCounters("store_journal_replayed_rows_total"); n == 0 {
+		t.Fatal("reopen re-fed no journaled rows; the kill left nothing pending")
+	}
+	got := make(map[string]int)
+	for _, sha := range re.SampleHashes() {
+		h, err := re.Get(sha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range h.Reports {
+			got[rowKey(r.SHA256, r.AnalysisDate)]++
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered rows differ from the acknowledged ones:\n got %v\nwant %v", got, want)
+	}
+	if n, err := re.Verify(); err != nil || n != len(want) {
+		t.Fatalf("Verify after recovery: %d rows (want %d), %v", n, len(want), err)
+	}
+	for _, month := range re.Months() {
+		vers := map[int]bool{}
+		for _, bm := range re.index(month).snapshotBlocks() {
+			vers[blockVer(bm)] = true
+		}
+		if !vers[FormatV1] || !vers[FormatV2] {
+			t.Fatalf("%s holds block formats %v, want the v1 months continued in v2", month, vers)
+		}
+	}
+}
+
 // TestJournalCorruptionNeedsRepair: damage anywhere but in the final
 // record is a typed Open error, and RepairDir's truncation at the last
 // whole record makes the directory open and verify again.
@@ -630,8 +688,16 @@ func TestJournalCorruptionNeedsRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := re.Journal(); info.Records != 3 {
-		t.Fatalf("repaired journal replayed %d records, want 3", info.Records)
+	// The three whole records replayed: each sample's meta is the last
+	// one they journaled (the first Sync's fold snapshotted only the
+	// first window's).
+	metas := re.snapshotSamples()
+	for _, win := range journalCampaign()[:3] {
+		for _, env := range win {
+			if got := metas[env.Meta.SHA256].TimesSubmitted; got != env.Meta.TimesSubmitted {
+				t.Fatalf("%s: replayed meta says %d submissions, record said %d", env.Meta.SHA256, got, env.Meta.TimesSubmitted)
+			}
+		}
 	}
 	if _, err := re.Verify(); err != nil {
 		t.Fatalf("Verify after repair: %v", err)

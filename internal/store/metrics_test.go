@@ -10,8 +10,7 @@ import (
 
 // TestStoreMetricsExposition pins the store's block-pipeline series in
 // the /metricsz Prometheus exposition: after an ingest-and-flush, the
-// encode/compress histograms carry observations and the
-// format-labelled encode counter partitions the cut count.
+// encode/compress histograms carry one observation per cut block.
 func TestStoreMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := Open(t.TempDir(), WithMetrics(reg), WithBlockSize(1<<10))
@@ -35,8 +34,6 @@ func TestStoreMetricsExposition(t *testing.T) {
 	for _, series := range []string{
 		"store_block_encode_seconds_count",
 		"store_block_compress_seconds_count",
-		`store_blocks_encoded_total{format="v1"}`,
-		`store_blocks_encoded_total{format="v2"}`,
 		"store_blocks_cut_total",
 	} {
 		if !strings.Contains(text, series) {
@@ -47,10 +44,8 @@ func TestStoreMetricsExposition(t *testing.T) {
 	if cut == 0 {
 		t.Fatal("no blocks cut; exposition test is vacuous")
 	}
-	encV1 := reg.Counter("store_blocks_encoded_total", "format", "v1").Value()
-	encV2 := reg.Counter("store_blocks_encoded_total", "format", "v2").Value()
-	if encV1+encV2 != cut {
-		t.Errorf("encoded v1 %d + v2 %d != cut %d", encV1, encV2, cut)
+	if h := reg.Histogram("store_block_encode_seconds", obs.DefBuckets); h.Snapshot().Count != cut {
+		t.Errorf("encode histogram count %d, cut %d", h.Snapshot().Count, cut)
 	}
 	if h := reg.Histogram("store_block_compress_seconds", obs.DefBuckets); h.Snapshot().Count != cut {
 		t.Errorf("compress histogram count %d, cut %d", h.Snapshot().Count, cut)

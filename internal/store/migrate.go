@@ -1,10 +1,10 @@
 // In-place format migration: vtstore migrate's engine.
 //
 // Migrate rewrites every partition still holding v1 blocks into
-// format v2, one month at a time, through a temp file that only
-// replaces the partition after the rewrite is verified row-for-row
-// against the source. Verification hashes the canonical v1 re-encoding
-// of every row on both sides — the strongest equivalence the store
+// format v2, one month at a time, through the partWriter ingest uses,
+// into a temp file that only replaces the partition after the rewrite
+// is verified row-for-row against the source. Verification hashes the
+// canonical v1 re-encoding of every row on both sides — the strongest equivalence the store
 // defines (it is exactly what Get must reproduce) — so a codec bug can
 // not silently corrupt data during migration. Months already fully v2
 // are skipped, which makes the operation idempotent: running migrate
@@ -31,11 +31,12 @@ type MigrateStats struct {
 
 // Migrate rewrites every partition that still holds v1 blocks into
 // block format v2, in place. It flushes first; the caller must not
-// write concurrently. Each month is rewritten into a temporary file,
-// SHA-256-verified against the source (over the canonical row
-// encoding of every row, in storage order), and atomically renamed
-// over the partition; a fresh sidecar is persisted and the month's
-// cached histories are dropped. Months already fully v2 are skipped.
+// write concurrently. Each month is rewritten through the store's
+// partition writer into a temporary file, SHA-256-verified against the
+// source (over the canonical row encoding of every row, in storage
+// order), fsynced, and atomically renamed over the partition; a fresh
+// sidecar is persisted and the month's cached histories are dropped.
+// Months already fully v2 are skipped.
 func (s *Store) Migrate() (MigrateStats, error) {
 	var ms MigrateStats
 	if err := s.Flush(); err != nil {
@@ -56,7 +57,10 @@ func (s *Store) Migrate() (MigrateStats, error) {
 }
 
 // migrateMonth rewrites one month, given its current block list, if
-// it still holds v1 rows.
+// it still holds v1 rows. The rewrite is fsynced before it replaces the
+// partition and the directory after, so a power loss leaves either
+// month whole; the month's sidecar goes first, so no crash leaves one
+// describing the other file (Open rebuilds a missing sidecar).
 func (s *Store) migrateMonth(month string, blocks []blockMeta) (bool, error) {
 	path := s.partPath(month)
 	needs := false
@@ -69,137 +73,109 @@ func (s *Store) migrateMonth(month string, blocks []blockMeta) (bool, error) {
 	if !needs {
 		return false, nil
 	}
+	// The rewrite's commits count its bytes into the month's accounting;
+	// whatever happens below, the partition on disk is what it stores.
+	defer func() {
+		fi, err := os.Stat(path)
+		s.smu.Lock()
+		if st := s.stats[month]; st != nil && err == nil {
+			st.StoredBytes = fi.Size()
+		}
+		s.smu.Unlock()
+	}()
 
 	tmp := path + ".migrate"
-	newIx, srcSum, stored, err := s.rewriteMonth(path, blocks, tmp)
+	newIx, srcSum, err := s.rewriteMonth(month, blocks, tmp)
+	if err == nil {
+		err = s.verifyRewrite(month, tmp, newIx, srcSum)
+	}
+	if err == nil {
+		err = s.step("rewritten")
+	}
 	if err != nil {
 		os.Remove(tmp)
 		return false, err
 	}
-	dstSum, err := s.canonicalSum(tmp, newIx.snapshotBlocks())
-	if err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	if !bytes.Equal(srcSum, dstSum) {
-		os.Remove(tmp)
-		return false, fmt.Errorf("store: migrate %s: rewrite verification failed (source %x != rewrite %x)", month, srcSum, dstSum)
+	if err := os.Remove(sidecarPath(s.dir, month)); err != nil && !os.IsNotExist(err) {
+		return false, fmt.Errorf("store: migrate %s: %w", month, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return false, fmt.Errorf("store: migrate %s: %w", month, err)
 	}
-	newIx.dirty = true
-	if err := newIx.writeSidecar(s.dir, month); err != nil {
+	if err := syncPath(s.dir); err != nil {
 		return false, err
 	}
 	s.setIndex(month, newIx)
-	s.smu.Lock()
-	if st := s.stats[month]; st != nil {
-		st.StoredBytes = stored
-	}
-	s.smu.Unlock()
 	for _, sha := range newIx.sampleSHAs() {
 		s.cache.invalidate(sha)
 	}
-	return true, nil
+	if err := s.step("renamed"); err != nil {
+		return false, err
+	}
+	if err := newIx.writeSidecar(s.dir, month); err != nil {
+		return false, err
+	}
+	return true, s.step("sidecar")
 }
 
-// rewriteMonth streams src's rows, block by block in storage order,
-// into dst as v2 blocks cut at the store's block-size target,
-// returning the new block index, the canonical row hash of the source,
-// and the bytes written.
-func (s *Store) rewriteMonth(src string, blocks []blockMeta, dst string) (*partIndex, []byte, int64, error) {
+// rewriteMonth feeds src's rows, block by block in storage order, to a
+// partition writer over dst — the writer every new block goes through,
+// so blocks are cut at the store's block-size target exactly as
+// ingest cuts them — and fsyncs dst. It returns dst's block index and
+// the canonical row hash of the source.
+func (s *Store) rewriteMonth(month string, blocks []blockMeta, dst string) (*partIndex, []byte, error) {
 	f, err := os.Create(dst)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("store: migrate: %w", err)
+		return nil, nil, fmt.Errorf("store: migrate: %w", err)
 	}
-	counter := &countingWriter{w: f}
-	newIx := newPartIndex()
+	w := s.newPartWriter(f, 0, month, newPartIndex())
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	srcHash := sha256.New()
-	var (
-		pending  = bufpool.GetBlockBuf()
-		rows     int
-		raw      int64
-		shas     = make(map[string]int)
-		acc      zoneAcc
-		innerErr error
-	)
-	defer func() { bufpool.PutBlockBuf(pending) }()
-	cutBlock := func() error {
-		if rows == 0 {
-			return nil
-		}
-		col, err := appendColumnarBlock(bufpool.GetBlockBuf(), pending)
-		if err != nil {
-			bufpool.PutBlockBuf(col)
-			return err
-		}
-		start := counter.n
-		zw := bufpool.GetGzipWriter(counter)
-		_, werr := zw.Write(col)
-		cerr := zw.Close()
-		bufpool.PutGzipWriter(zw)
-		bufpool.PutBlockBuf(col)
-		if werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("store: migrate: %w", werr)
-		}
-		bm := blockMeta{
-			Offset: start,
-			Len:    counter.n - start,
-			Rows:   rows,
-			Raw:    raw,
-			Ver:    FormatV2,
-		}
-		bm.setZone(acc.z)
-		newIx.appendBlock(bm, shas)
-		pending = pending[:0]
-		rows, raw = 0, 0
-		shas = make(map[string]int)
-		acc.reset()
-		return nil
-	}
+	var innerErr error
 	lineBuf := bufpool.GetBuf()
 	defer func() { bufpool.PutBuf(lineBuf) }()
-	err = s.scanBlocks(src, blocks, func(row scanRow) {
+	err = s.scanBlocks(s.partPath(month), blocks, func(row scanRow) {
 		if innerErr != nil {
 			return
 		}
 		// Canonical re-encode: migration normalizes every row to the
 		// writer's own encoding, which for writer-produced partitions
 		// is the identity.
-		r := rowToReport(row)
-		lineBuf = appendScanRow(lineBuf[:0], r)
+		scan := rowToReport(row)
+		lineBuf = appendScanRow(lineBuf[:0], scan)
 		srcHash.Write(lineBuf)
 		srcHash.Write([]byte{'\n'})
-		pending = append(pending, lineBuf...)
-		pending = append(pending, '\n')
-		rows++
-		raw += int64(len(lineBuf))
-		shas[row.SHA]++
-		acc.row(&row)
-		if len(pending) >= s.blockSize {
-			innerErr = cutBlock()
-		}
+		innerErr = w.writeRowLocked(encRow{sha: scan.SHA256, line: lineBuf, scan: scan})
 	})
 	if err == nil {
 		err = innerErr
 	}
 	if err == nil {
-		err = cutBlock()
+		err = w.finishLocked()
 	}
 	if err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
+		err = syncPath(dst)
 	}
 	if err != nil {
-		return nil, nil, 0, err
+		f.Close()
+		return nil, nil, err
 	}
-	return newIx, srcHash.Sum(nil), counter.n, nil
+	return w.idx, srcHash.Sum(nil), nil
+}
+
+// verifyRewrite checks that the rewrite at tmp holds exactly the rows
+// the source hashed to srcSum.
+func (s *Store) verifyRewrite(month, tmp string, ix *partIndex, srcSum []byte) error {
+	dstSum, err := s.canonicalSum(tmp, ix.snapshotBlocks())
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(srcSum, dstSum) {
+		return fmt.Errorf("store: migrate %s: rewrite verification failed (source %x != rewrite %x)", month, srcSum, dstSum)
+	}
+	return nil
 }
 
 // canonicalSum hashes the canonical row encoding of every row in a

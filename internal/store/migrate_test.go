@@ -12,11 +12,12 @@ import (
 )
 
 // migrateFixture writes a v1 store spanning two months with enough
-// rows for several blocks, closes it, and returns its directory.
+// rows for several blocks, indexed and closed, and returns its
+// directory.
 func migrateFixture(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := Open(dir, WithFormat(FormatV1), WithBlockSize(2<<10))
+	s, err := Open(dir, WithBlockSize(2<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,108 @@ func migrateFixture(t *testing.T, n int) string {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	writeV1Store(t, dir)
+	reopen(t, dir)
 	return dir
+}
+
+// TestMigrateGoldenV1Bytes pins what Migrate writes for the committed
+// v1 fixture, at the default block size and at a small one that cuts
+// several blocks per month: the partitions the writer-based rewrite
+// produces are the bytes earlier builds' migration wrote.
+func TestMigrateGoldenV1Bytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want map[string]string
+	}{
+		{"default", nil, map[string]string{
+			"2021-05": "3d31da8d6e4493a5533fc732beb21bee1498150cced620aa2d29f0322922126d",
+			"2021-06": "f99fe70483dc2f2b3c15478d1ebb8f9727f75824945b4f47383bb4b58419d7f3",
+		}},
+		{"block=2KiB", []Option{WithBlockSize(2 << 10)}, map[string]string{
+			"2021-05": "6b0af8ee7b78691a9017cf65d4184a2f44a2e8acfcd2e986459c730cccf8bd84",
+			"2021-06": "74dc85f12ec2060824aef87dfffaf1c138f23c08455455d375575c84176cbdbc",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := copyGolden(t)
+			s, err := Open(dir, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ms, err := s.Migrate(); err != nil || len(ms.Migrated) != 2 {
+				t.Fatalf("Migrate = %+v, %v", ms, err)
+			}
+			sums := dirSums(t, dir)
+			for month, want := range tc.want {
+				if got := sums["scans-"+month+".jsonl.gz"]; got != want {
+					t.Errorf("%s: migrated partition sha256 %s, want %s", month, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestMigrateCrashEveryStep stops Migrate after each of its durable
+// steps in the first month it rewrites — the verified, fsynced temp
+// file; the rename over the partition; the new sidecar — and reopens
+// the directory as a restarted process would. Every month must then be
+// whole in one format or the other, serve exactly the golden rows and
+// verify, and a second Migrate must finish the job.
+func TestMigrateCrashEveryStep(t *testing.T) {
+	stopped := errors.New("killed mid-migrate")
+	for _, step := range []string{"rewritten", "renamed", "sidecar"} {
+		t.Run(step, func(t *testing.T) {
+			dir := copyGolden(t)
+			s, err := Open(dir, withFoldStep(func(name string) error {
+				if name == step {
+					return stopped
+				}
+				return nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Migrate(); !errors.Is(err, stopped) {
+				t.Fatalf("Migrate = %v, want the step hook's stop", err)
+			}
+			// s is abandoned un-Closed here, like a killed process.
+
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2Months := 0
+			for _, month := range re.Months() {
+				vers := map[int]bool{}
+				for _, bm := range re.index(month).snapshotBlocks() {
+					vers[blockVer(bm)] = true
+				}
+				if len(vers) != 1 {
+					t.Fatalf("%s holds block formats %v after the crash, want one", month, vers)
+				}
+				if vers[FormatV2] {
+					v2Months++
+				}
+			}
+			if want := map[string]int{"rewritten": 0, "renamed": 1, "sidecar": 1}[step]; v2Months != want {
+				t.Fatalf("%d months rewritten after a crash at %q, want %d", v2Months, step, want)
+			}
+			if hist, _, _ := snapshotReads(t, re); !reflect.DeepEqual(hist, goldenExpect()) {
+				t.Fatalf("crash at %q: store serves wrong rows:\n got %+v\nwant %+v", step, hist, goldenExpect())
+			}
+			if n, err := re.Verify(); err != nil || n != 24 {
+				t.Fatalf("Verify after a crash at %q: %d, %v", step, n, err)
+			}
+			if ms, err := re.Migrate(); err != nil || len(ms.Migrated) != 2-v2Months {
+				t.Fatalf("Migrate after a crash at %q = %+v, %v", step, ms, err)
+			}
+			if hist, _, _ := snapshotReads(t, re); !reflect.DeepEqual(hist, goldenExpect()) {
+				t.Fatalf("finished migration serves wrong rows after a crash at %q", step)
+			}
+		})
+	}
 }
 
 // readSnapshotFor captures everything a query client can observe from

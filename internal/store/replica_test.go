@@ -13,12 +13,13 @@ import (
 	"time"
 )
 
-// buildReplStore fills dir with a closed store spanning two months and
-// many small blocks (tiny block size forces several members per
-// partition), returning the sample hashes written.
+// buildReplStore fills dir with a closed, indexed store in the given
+// block format spanning two months and many small blocks (tiny block
+// size forces several members per partition), returning the sample
+// hashes written.
 func buildReplStore(t *testing.T, dir string, format int) []string {
 	t.Helper()
-	s, err := Open(dir, WithFormat(format), WithBlockSize(2<<10))
+	s, err := Open(dir, WithBlockSize(2<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +49,10 @@ func buildReplStore(t *testing.T, dir string, format int) []string {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if format == FormatV1 {
+		writeV1Store(t, dir)
+		reopen(t, dir)
 	}
 	return shas
 }

@@ -84,6 +84,24 @@ func buildScanStore(t testing.TB, envs []report.Envelope, opts ...Option) *Store
 	return s
 }
 
+// buildScanStoreV1 is buildScanStore in block format v1: the store's
+// blocks are rewritten to v1 and, once a reopen has persisted the
+// sidecars, opened again over them.
+func buildScanStoreV1(t testing.TB, envs []report.Envelope, opts ...Option) *Store {
+	t.Helper()
+	s := buildScanStore(t, envs, opts...)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeV1Store(t, s.dir)
+	reopen(t, s.dir)
+	re, err := Open(s.dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re
+}
+
 // rowsAgg collects every fed row as a canonical line — the
 // order-insensitive comparison target for the differential tests.
 type rowsAgg struct{ lines []string }
@@ -221,14 +239,14 @@ func TestScanMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	envs := genScanEnvelopes(rng, 160, 24)
 	for _, cfg := range []struct {
-		name string
-		opts []Option
+		name  string
+		build func(testing.TB, []report.Envelope, ...Option) *Store
 	}{
-		{"v2", []Option{WithBlockSize(1 << 10)}},
-		{"v1", []Option{WithFormat(FormatV1), WithBlockSize(1 << 10)}},
+		{"v2", buildScanStore},
+		{"v1", buildScanStoreV1},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			s := buildScanStore(t, envs, cfg.opts...)
+			s := cfg.build(t, envs, WithBlockSize(1<<10))
 			defer s.Close()
 			for i, q := range scanTestQueries() {
 				stats := checkScanAgainstNaive(t, s, q)
@@ -488,23 +506,20 @@ func FuzzScanPushdownDifferential(f *testing.F) {
 		ftSel, engSel, labSel uint8, malOnly bool, shaSel, workers uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		envs := genScanEnvelopes(rng, 60, 12)
-		var opts []Option
+		var s *Store
 		switch format % 3 {
 		case 0:
-			opts = []Option{WithBlockSize(1 << 9)}
+			s = buildScanStore(t, envs, WithBlockSize(1<<9))
 		case 1:
-			opts = []Option{WithFormat(FormatV1), WithBlockSize(1 << 9)}
+			s = buildScanStoreV1(t, envs, WithBlockSize(1<<9))
 		case 2: // legacy: the pre-sidecar shape — v1, one giant member
 			// per flush, no .idx files — reopened below so the scan runs
 			// over indexes Open rebuilt from the partition bytes.
-			opts = []Option{WithFormat(FormatV1), WithBlockSize(1 << 30)}
-		}
-		s := buildScanStore(t, envs, opts...)
-		if format%3 == 2 {
+			s = buildScanStore(t, envs, WithBlockSize(1<<30))
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			stripSidecars(t, s.dir)
+			writeV1Store(t, s.dir)
 			var rebuilds int64
 			if s, _, rebuilds = openCounting(t, s.dir); rebuilds == 0 {
 				t.Fatal("sidecar-less store opened without rebuilding an index")

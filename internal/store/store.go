@@ -82,15 +82,11 @@ type storeMetrics struct {
 	storedBytes *obs.Counter
 	blocksCut   *obs.Counter
 
-	// Block pipeline split: payload encoding (v2 seal; v1 blocks are
-	// accumulated pre-encoded, so only compression shows up for them)
-	// vs gzip time, plus a per-format block counter. Together they make
-	// "where does a cut's latency go" visible in /metricsz, and
-	// blocksEncodedV1 + blocksEncodedV2 == blocksCut (invariant suite).
+	// Block pipeline split: payload sealing vs gzip time, so "where
+	// does a cut's latency go" is visible in /metricsz. Each cut block
+	// is observed once in each (invariant suite).
 	blockEncodeSeconds   *obs.Histogram
 	blockCompressSeconds *obs.Histogram
-	blocksEncodedV1      *obs.Counter
-	blocksEncodedV2      *obs.Counter
 
 	gets           *obs.Counter
 	cacheHits      *obs.Counter
@@ -144,8 +140,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 
 		blockEncodeSeconds:   reg.Histogram("store_block_encode_seconds", obs.DefBuckets),
 		blockCompressSeconds: reg.Histogram("store_block_compress_seconds", obs.DefBuckets),
-		blocksEncodedV1:      reg.Counter("store_blocks_encoded_total", "format", "v1"),
-		blocksEncodedV2:      reg.Counter("store_blocks_encoded_total", "format", "v2"),
 
 		gets:           reg.Counter("store_gets_total"),
 		cacheHits:      reg.Counter("store_cache_hits_total"),
@@ -187,10 +181,9 @@ type Store struct {
 
 	// blockSize is the target uncompressed bytes per gzip block.
 	blockSize int
-	// format is the block format new writes use (FormatV1 or FormatV2).
-	format int
 	// maxFormat is the newest block format this store reads; formatMax
-	// except in tests that simulate an older build.
+	// except in tests that simulate an older build. New blocks are
+	// always FormatV2.
 	maxFormat int
 	// cacheSize is the history-cache capacity in entries (0 disables).
 	cacheSize int
@@ -242,10 +235,9 @@ type Store struct {
 	// foldAt is the journal size past which Sync folds.
 	foldAt int64
 	// foldStep, when set (tests only), is called after each step of a
-	// fold and of a snapshot write; an error stops the operation there.
+	// fold, a snapshot write and a migration; an error stops the
+	// operation there.
 	foldStep func(step string) error
-	// jinfo is what Open's replay found.
-	jinfo JournalInfo
 
 	// compressSem bounds concurrent block compression across all
 	// partition writers.
@@ -272,19 +264,10 @@ func WithCacheSize(n int) Option {
 	return func(s *Store) { s.cacheSize = n }
 }
 
-// WithFormat selects the block format new writes use. The default is
-// FormatDefault (v2 columnar); FormatV1 keeps writing the legacy JSONL
-// blocks — useful for producing fixtures and for interoperating with
-// pre-v2 readers. Reading always dispatches per block, so a store may
-// freely mix formats across (and within) partitions. Open rejects
-// versions this build cannot read back.
-func WithFormat(v int) Option {
-	return func(s *Store) { s.format = v }
-}
-
 // withMaxFormat caps the formats this store will read — the test hook
 // that simulates a v1-era build opening data from the future, pinning
-// the typed-rejection half of the compatibility matrix.
+// the typed-rejection half of the compatibility matrix. It caps reads
+// only: a build writes the newest format it reads.
 func withMaxFormat(v int) Option {
 	return func(s *Store) { s.maxFormat = v }
 }
@@ -451,16 +434,15 @@ func rowFromScan(scan *report.ScanReport) scanRow {
 }
 
 // partWriter appends rows to one monthly partition as a sequence of
-// block-sized gzip members. The pending block accumulates in the
-// format the member will hold — v1 as the raw JSONL buffer, v2 as
-// column state built directly from the rows (colBuilder), with no
-// flush-time re-parse in either case. A cut hands the block to a
-// pooled gzip codec on the store's compression workers, and finished
-// blocks are committed to the file strictly in cut order, so the
-// partition bytes are identical to encoding and compressing each
-// block inline (both encoders and flate are pure functions of the
-// member's input rows). Members start lazily on the first row after a
-// cut, so flush/sync cycles never emit empty members.
+// block-sized gzip members — the one writer of new blocks, always v2.
+// The pending block accumulates as column state built directly from
+// the rows (colBuilder). A cut hands the block to a pooled gzip codec
+// on the store's compression workers, and finished blocks are
+// committed to the file strictly in cut order, so the partition bytes
+// are identical to encoding and compressing each block inline (the
+// builder and flate are pure functions of the member's input rows).
+// Members start lazily on the first row after a cut, so flush/sync
+// cycles never emit empty members.
 type partWriter struct {
 	mu      sync.Mutex
 	closed  bool
@@ -470,8 +452,6 @@ type partWriter struct {
 	// offsets are base + compressed bytes written this session.
 	base      int64
 	blockSize int
-	// format is the block format this writer's cuts produce.
-	format int
 	// idx is the month's block index; it covers every byte below base.
 	idx *partIndex
 	// s is the owning store — its metrics, its compression-concurrency
@@ -479,14 +459,12 @@ type partWriter struct {
 	s     *Store
 	month string
 
-	// Current (pending) block. pendingBuf holds the block's rows as
-	// JSONL in both formats: it is the v1 member's payload, and what
-	// Sync journals for either; v2 additionally folds each row into col,
-	// which is non-nil while a v2 member is open. pendingSize tracks the
-	// block's JSONL-equivalent size — Σ (len(line)+1) — for BOTH
-	// formats, so v2's cut boundaries (and therefore its block
-	// contents, and therefore its bytes) are identical to what the
-	// transcode path produced.
+	// Current (pending) block. col holds its column state and is
+	// non-nil while a member is open; pendingBuf holds the same rows as
+	// JSONL, which is what Sync journals. pendingSize tracks the block's
+	// JSONL-equivalent size — Σ (len(line)+1) — so cut boundaries (and
+	// therefore block contents, and therefore bytes) are those every
+	// earlier writer of this package produced.
 	pendingBuf  []byte
 	col         *colBuilder
 	pendingRows int
@@ -496,9 +474,6 @@ type partWriter struct {
 	// jmark and jrows are the bytes of pendingBuf and the pending rows
 	// that checkpoint.log already carries; a cut resets both.
 	jmark, jrows int
-	// zone accumulates the pending v1 block's zone map row by row; v2
-	// blocks derive theirs from the column builder at seal time.
-	zone zoneAcc
 	// queue holds cut blocks whose compression may still be running,
 	// in cut order.
 	queue []*pendingBlock
@@ -507,14 +482,13 @@ type partWriter struct {
 // pendingBlock is one cut block travelling through the compression
 // pool. done is closed once comp and err are final.
 type pendingBlock struct {
-	raw      []byte      // v1: the member's JSONL payload; nil for v2
-	col      *colBuilder // v2: column state sealed off-lock; nil for v1
+	col      *colBuilder // column state, sealed off-lock
 	rows     int
 	rawBytes int64
 	shas     map[string]int
-	// zone is the block's zone map: captured at cut time for v1, set by
-	// compressBlock (before the builder recycles) for v2. Final once
-	// done closes — commit always waits on done before reading it.
+	// zone is the block's zone map, set by compressBlock before the
+	// builder recycles. Final once done closes — commit always waits
+	// on done before reading it.
 	zone blockZone
 	done chan struct{}
 	comp *bytes.Buffer
@@ -526,25 +500,20 @@ type pendingBlock struct {
 // encoding outruns compression.
 const maxInflightBlocks = 4
 
-// writeRowLocked appends one row — to the JSONL buffer, and for v2 to
-// the column builder as well — cutting a block when the pending member
-// reaches the block-size target. The cut fires on the row's
-// JSONL-equivalent size in both formats, so v2 blocks hold exactly
-// the rows their transcode-era counterparts held. Caller holds w.mu.
+// writeRowLocked appends one row — to the column builder and the JSONL
+// buffer — cutting a block when the pending member reaches the
+// block-size target. The cut fires on the row's JSONL-equivalent size.
+// Caller holds w.mu.
 func (w *partWriter) writeRowLocked(row encRow) error {
 	if w.pendingBuf == nil {
 		w.pendingBuf = bufpool.GetBlockBuf()
 	}
 	w.pendingBuf = append(w.pendingBuf, row.line...)
 	w.pendingBuf = append(w.pendingBuf, '\n')
-	if w.format == FormatV1 {
-		w.zone.scan(row.scan)
-	} else {
-		if w.col == nil {
-			w.col = getColBuilder()
-		}
-		w.col.addRow(row.scan, len(row.line))
+	if w.col == nil {
+		w.col = getColBuilder()
 	}
+	w.col.addRow(row.scan, len(row.line))
 	w.pendingRows++
 	w.pendingRaw += int64(len(row.line))
 	w.pendingSize += len(row.line) + 1
@@ -569,13 +538,7 @@ func (w *partWriter) cutBlockLocked() error {
 		shas:     w.pendingShas,
 		done:     make(chan struct{}),
 	}
-	if w.format == FormatV1 {
-		pb.raw, w.pendingBuf = w.pendingBuf, nil
-		pb.zone = w.zone.z
-	} else {
-		w.pendingBuf = w.pendingBuf[:0]
-	}
-	w.zone.reset()
+	w.pendingBuf = w.pendingBuf[:0]
 	w.col = nil
 	w.pendingRows, w.pendingRaw, w.pendingSize = 0, 0, 0
 	w.jmark, w.jrows = 0, 0
@@ -585,41 +548,28 @@ func (w *partWriter) cutBlockLocked() error {
 	return w.commitLocked(maxInflightBlocks)
 }
 
-// compressBlock seals (v2) and gzips one cut block off the writer
-// lock. It touches only pb, the semaphore, and the (concurrency-safe)
-// metrics, never w, so commits can proceed under w.mu while later
-// blocks compress. A v2 block's column state is sealed here — pure
-// concatenation of already-encoded columns, replacing the old
-// JSONL-re-parse transcode — so partition bytes stay independent of
-// worker count and compression timing in both formats.
+// compressBlock seals and gzips one cut block off the writer lock. It
+// touches only pb, the semaphore, and the (concurrency-safe) metrics,
+// never w, so commits can proceed under w.mu while later blocks
+// compress. Sealing is pure concatenation of already-encoded columns,
+// so partition bytes stay independent of worker count and compression
+// timing.
 func compressBlock(pb *pendingBlock, sem chan struct{}, m *storeMetrics) {
 	sem <- struct{}{}
-	payload := pb.raw
-	var sealed []byte
-	if pb.col != nil {
-		start := time.Now()
-		sealed = pb.col.seal(bufpool.GetBlockBuf())
-		m.blockEncodeSeconds.ObserveDuration(time.Since(start))
-		payload = sealed
-	}
 	start := time.Now()
+	sealed := pb.col.seal(bufpool.GetBlockBuf())
+	m.blockEncodeSeconds.ObserveDuration(time.Since(start))
+	start = time.Now()
 	buf := bufpool.GetBuffer()
 	zw := bufpool.GetGzipWriter(buf)
-	_, werr := zw.Write(payload)
+	_, werr := zw.Write(sealed)
 	cerr := zw.Close()
 	bufpool.PutGzipWriter(zw)
 	m.blockCompressSeconds.ObserveDuration(time.Since(start))
-	if pb.col != nil {
-		pb.zone = pb.col.zone()
-		putColBuilder(pb.col)
-		pb.col = nil
-		bufpool.PutBlockBuf(sealed)
-		m.blocksEncodedV2.Inc()
-	} else {
-		bufpool.PutBlockBuf(pb.raw)
-		pb.raw = nil
-		m.blocksEncodedV1.Inc()
-	}
+	pb.zone = pb.col.zone()
+	putColBuilder(pb.col)
+	pb.col = nil
+	bufpool.PutBlockBuf(sealed)
 	pb.comp = buf
 	pb.err = werr
 	if pb.err == nil {
@@ -673,9 +623,7 @@ func (w *partWriter) commitBlockLocked(pb *pendingBlock) error {
 		Len:    end - start,
 		Rows:   pb.rows,
 		Raw:    pb.rawBytes,
-	}
-	if w.format != FormatV1 {
-		bm.Ver = w.format
+		Ver:    FormatV2,
 	}
 	bm.setZone(pb.zone)
 	w.idx.appendBlock(bm, pb.shas)
@@ -744,7 +692,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		dir:         dir,
 		blockSize:   blockSizeDefault,
 		cacheSize:   cacheSizeDefault,
-		format:      FormatDefault,
 		maxFormat:   formatMax,
 		writers:     make(map[string]*partWriter),
 		indexes:     make(map[string]*partIndex),
@@ -754,9 +701,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.format < FormatV1 || s.format > s.maxFormat {
-		return nil, fmt.Errorf("store: cannot write block format v%d (this build handles v%d..v%d)", s.format, FormatV1, s.maxFormat)
 	}
 	if s.reg == nil {
 		s.reg = obs.Default()
@@ -961,7 +905,7 @@ type encoded struct {
 
 // encRow is the unit handed to a partition writer: the compact line,
 // its sample hash for the block posting list, and the scan itself so
-// a v2 writer can fold it straight into column state. The scan
+// the writer can fold it straight into column state. The scan
 // pointer is only dereferenced inside writeRowLocked, synchronously
 // within the Put/PutBatch call that owns the envelope; only its
 // (immutable) strings are retained past that, by the column
@@ -1174,17 +1118,6 @@ func (s *Store) writer(month string) (*partWriter, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	base := fi.Size()
-	counter := &countingWriter{w: f}
-	w := &partWriter{
-		f:           f,
-		counter:     counter,
-		base:        base,
-		blockSize:   s.blockSize,
-		format:      s.format,
-		pendingShas: bufpool.GetCountMap(),
-		s:           s,
-		month:       month,
-	}
 	// Attach the month's block index. A fresh partition starts one; an
 	// existing partition continues its index only if that index covers
 	// every byte already on disk — otherwise new blocks would produce a
@@ -1201,9 +1134,45 @@ func (s *Store) writer(month string) (*partWriter, error) {
 			return nil, err
 		}
 	}
-	w.idx = ix
+	w := s.newPartWriter(f, base, month, ix)
 	s.writers[month] = w
 	return w, nil
+}
+
+// newPartWriter starts a writer appending to f, which holds base bytes
+// that ix covers.
+func (s *Store) newPartWriter(f *os.File, base int64, month string, ix *partIndex) *partWriter {
+	return &partWriter{
+		f:           f,
+		counter:     &countingWriter{w: f},
+		base:        base,
+		blockSize:   s.blockSize,
+		idx:         ix,
+		pendingShas: bufpool.GetCountMap(),
+		s:           s,
+		month:       month,
+	}
+}
+
+// finishLocked seals and commits the pending block, closes the file,
+// and returns the writer's pooled buffers: its last cut left a fresh
+// (empty) pending-sha map and the emptied line buffer, which would
+// otherwise leak out of their pools. Caller holds w.mu.
+func (w *partWriter) finishLocked() error {
+	if err := w.cutBlockLocked(); err != nil {
+		return err
+	}
+	if err := w.commitLocked(0); err != nil {
+		return err
+	}
+	if err := w.f.Close(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	bufpool.PutCountMap(w.pendingShas)
+	w.pendingShas = nil
+	bufpool.PutBlockBuf(w.pendingBuf)
+	w.pendingBuf = nil
+	return nil
 }
 
 // Flush finalizes all open partition writers so data is durable and
@@ -1221,26 +1190,11 @@ func (s *Store) Flush() error {
 	for month, w := range s.writers {
 		w.mu.Lock()
 		w.closed = true
-		if err := w.cutBlockLocked(); err != nil {
-			w.mu.Unlock()
-			return err
-		}
-		if err := w.commitLocked(0); err != nil {
-			w.mu.Unlock()
-			return err
-		}
-		if err := w.f.Close(); err != nil {
-			w.mu.Unlock()
-			return fmt.Errorf("store: %w", err)
-		}
-		// The writer is finished: its last cut left a fresh (empty)
-		// pending-sha map, and in v2 the emptied line buffer, that
-		// would otherwise leak out of their pools.
-		bufpool.PutCountMap(w.pendingShas)
-		w.pendingShas = nil
-		bufpool.PutBlockBuf(w.pendingBuf)
-		w.pendingBuf = nil
+		err := w.finishLocked()
 		w.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		delete(s.writers, month)
 	}
 	return s.writeSidecars()

@@ -12,17 +12,16 @@
 // guaranteed-safe skip.
 //
 // The non-negotiable invariant is that a zone map is a PURE FUNCTION
-// of the block's payload rows. Four code paths compute zones — the v2
-// write path (colBuilder), the v1 write path (partWriter's zoneAcc),
-// every payload recompute (analyzePayload: index rebuilds at Open and
-// Reindex, replication apply, repair, Verify), and migration
-// (rewriteMonth) — and all of them must produce bit-identical results,
-// because leader and follower sidecars are compared byte-for-byte by
-// the replication parity suite,
+// of the block's payload rows. Three code paths compute zones — the
+// write path (colBuilder, which migration rides too), the v2 payload
+// recompute (zoneOfColBlock) and the v1 payload recompute (zoneAcc);
+// the recomputes back every analyzePayload caller: index rebuilds at
+// Open and Reindex, replication apply, repair, Verify — and all of
+// them must produce bit-identical results, because leader and follower
+// sidecars are compared byte-for-byte by the replication parity suite,
 // and Verify cross-checks every sidecar zone against a payload
-// recompute. All paths therefore share the accumulation and hashing
-// helpers below and hash the same normalized (validUTF8) strings the
-// row codecs store.
+// recompute. All paths therefore share the hashing helpers below and
+// hash the same normalized (validUTF8) strings the row codecs store.
 //
 // Sidecar entries written before zone maps carry Z == 0 ("no zone").
 // Open does not load such a sidecar: it rebuilds the month's index
@@ -73,32 +72,23 @@ func zoneBits(vals []string) uint64 {
 	return b
 }
 
-// zoneAcc accumulates a blockZone row by row. The two entry points —
-// row (decoded v1 rows) and scan (write-path reports) — fold identical
-// values because the row codec normalizes every string through
-// validUTF8 on encode, so a decoded row already carries the normalized
-// form scan() normalizes on the fly.
+// zoneAcc accumulates a v1 block's blockZone row by row from its
+// decoded rows, which already carry the validUTF8-normalized strings
+// the row codec stores.
 type zoneAcc struct {
 	rows int
 	z    blockZone
 }
 
-func (a *zoneAcc) reset() { *a = zoneAcc{} }
-
-// beginRow folds one row's timestamp into the min/max bounds.
-func (a *zoneAcc) beginRow(at int64) {
-	if a.rows == 0 || at < a.z.tmin {
-		a.z.tmin = at
-	}
-	if a.rows == 0 || at > a.z.tmax {
-		a.z.tmax = at
-	}
-	a.rows++
-}
-
 // row folds one decoded v1 scan row.
 func (a *zoneAcc) row(row *scanRow) {
-	a.beginRow(row.At)
+	if a.rows == 0 || row.At < a.z.tmin {
+		a.z.tmin = row.At
+	}
+	if a.rows == 0 || row.At > a.z.tmax {
+		a.z.tmax = row.At
+	}
+	a.rows++
 	a.z.ftb |= zoneBit(row.FT)
 	mal := false
 	for i := range row.Res {
@@ -116,31 +106,9 @@ func (a *zoneAcc) row(row *scanRow) {
 	}
 }
 
-// scan folds one write-path report, normalizing exactly like the row
-// codecs so the accumulated zone equals what a payload recompute of
-// the sealed block derives.
-func (a *zoneAcc) scan(scan *report.ScanReport) {
-	a.beginRow(unix(scan.AnalysisDate))
-	a.z.ftb |= zoneBit(validUTF8(scan.FileType))
-	mal := false
-	for i := range scan.Results {
-		er := &scan.Results[i]
-		a.z.engb |= zoneBit(validUTF8(er.Engine))
-		if lab := validUTF8(er.Label); lab != "" {
-			a.z.labb |= zoneBit(lab)
-		}
-		if int8(er.Verdict) == int8(report.Malicious) {
-			mal = true
-		}
-	}
-	if mal {
-		a.z.mal++
-	}
-}
-
 // zoneOfColBlock recomputes a v2 block's zone from its parsed payload:
 // fingerprints from the dictionaries (a dictionary holds exactly the
-// values the rows reference, in both encoders), timestamp bounds from
+// values the rows reference), timestamp bounds from
 // the delta-encoded time column, and the malicious-row count from the
 // nres and verdict columns. The block must have been parsed with at
 // least wantFT|wantEng|wantLab.

@@ -2,10 +2,8 @@ package sync
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -14,61 +12,16 @@ import (
 )
 
 // The golden mixed-format fixture is a partially-migrated store: its
-// first campaign wrote v1 blocks, a later campaign appended v2 blocks
-// to the same months. It is checked in under testdata/mixed with a
-// SHA256SUMS manifest; regenerate with
-//
-//	VTDYN_REGEN_GOLDEN=1 go test ./internal/sync -run MixedFormat
+// first campaign was written by a build that wrote v1 blocks, a later
+// campaign appended v2 blocks to the same months. It is checked in
+// under testdata/mixed with a SHA256SUMS manifest and is frozen: no
+// build writes v1 any more, so it cannot be regenerated.
 //
 // The fixture pins the exact bytes a replication follower must
 // reproduce, so format-dispatch regressions (a v2 reader "fixing" v1
 // bytes in transit, or vice versa) surface as a parity diff against
 // history, not just against a freshly built leader.
 const mixedFixtureDir = "testdata/mixed"
-
-func regenMixedFixture(t *testing.T) {
-	t.Helper()
-	if err := os.RemoveAll(mixedFixtureDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(mixedFixtureDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Campaign 1: v1 blocks across two months.
-	st, err := store.Open(mixedFixtureDir, store.WithFormat(store.FormatV1), store.WithBlockSize(2<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillStore(t, st, "mix", 20, 0)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Campaign 2: the store reopens at v2 and appends columnar blocks
-	// to the same partitions.
-	st, err = store.Open(mixedFixtureDir, store.WithFormat(store.FormatV2), store.WithBlockSize(2<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillStore(t, st, "mix", 20, 20)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	hashes := dirHashes(t, mixedFixtureDir)
-	names := make([]string, 0, len(hashes))
-	for name := range hashes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s  %s\n", hashes[name], name)
-	}
-	if err := os.WriteFile(filepath.Join(mixedFixtureDir, "SHA256SUMS"), []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("regenerated %s (%d files)", mixedFixtureDir, len(names))
-}
 
 // blockVersions maps month -> set of block format versions present.
 func blockVersions(t *testing.T, st *store.Store) map[string]map[int]bool {
@@ -92,13 +45,6 @@ func blockVersions(t *testing.T, st *store.Store) map[string]map[int]bool {
 // migrated fixture into an empty follower and requires byte parity,
 // proving the sync path never transcodes across the v1/v2 boundary.
 func TestMixedFormatReplicationParity(t *testing.T) {
-	if os.Getenv("VTDYN_REGEN_GOLDEN") == "1" {
-		regenMixedFixture(t)
-	}
-	if _, err := os.Stat(filepath.Join(mixedFixtureDir, "SHA256SUMS")); err != nil {
-		t.Fatalf("golden fixture missing (run with VTDYN_REGEN_GOLDEN=1 to create): %v", err)
-	}
-
 	// The checked-in bytes must match their manifest — a drifted
 	// fixture would make the parity proof circular.
 	sums, err := os.ReadFile(filepath.Join(mixedFixtureDir, "SHA256SUMS"))

@@ -82,15 +82,33 @@ func fillStore(t *testing.T, st *store.Store, prefix string, n, offset int) {
 }
 
 // buildLeaderStore creates and closes a two-month store in dir.
-func buildLeaderStore(t *testing.T, dir string, format, n int) {
+func buildLeaderStore(t *testing.T, dir string, n int) {
 	t.Helper()
-	st, err := store.Open(dir, store.WithFormat(format), store.WithBlockSize(2<<10))
+	st, err := store.Open(dir, store.WithBlockSize(2<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillStore(t, st, "syn", n, 0)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// copyInto copies the regular files of the fixture src into dst.
+func copyInto(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -224,14 +242,36 @@ func assertNoSyncGoroutines(t *testing.T) {
 	}
 }
 
+// goldenV1Dir is the store package's committed v1 fixture: 24 scans of
+// eight samples over two months, written by a build that wrote v1.
+const goldenV1Dir = "../store/testdata/golden-v1"
+
 // TestBackfillParity bootstraps an empty follower from a quiescent
 // leader and requires a SHA-256 file-for-file diff of zero, for both
-// block formats.
+// block formats: a freshly written v2 store, and a copy of the v1
+// fixture that a current build has opened (indexed) and closed.
 func TestBackfillParity(t *testing.T) {
-	for _, format := range []int{store.FormatV1, store.FormatV2} {
-		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		build   func(t *testing.T, dir string)
+		sha     string
+		reports int
+	}{
+		{"v1", func(t *testing.T, dir string) {
+			copyInto(t, goldenV1Dir, dir)
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, "gold03", 3},
+		{"v2", func(t *testing.T, dir string) { buildLeaderStore(t, dir, 40) }, "syn003", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			leaderDir := t.TempDir()
-			buildLeaderStore(t, leaderDir, format, 40)
+			tc.build(t, leaderDir)
 			lst, err := store.Open(leaderDir)
 			if err != nil {
 				t.Fatal(err)
@@ -274,8 +314,8 @@ func TestBackfillParity(t *testing.T) {
 			if _, err := rst.Verify(); err != nil {
 				t.Fatalf("replica verify: %v", err)
 			}
-			h, err := rst.Get("syn003")
-			if err != nil || len(h.Reports) != 1 {
+			h, err := rst.Get(tc.sha)
+			if err != nil || len(h.Reports) != tc.reports {
 				t.Fatalf("replica read: %v %v", h, err)
 			}
 			assertNoSyncGoroutines(t)
@@ -329,164 +369,161 @@ func TestCatchUpIncremental(t *testing.T) {
 // One Flush — what vtsyncd's leader mode does before it listens — seals
 // them, and the follower then receives a single consistent state: every
 // acknowledged row, verifiable, at parity with what the leader serves.
+// The subtest is named for the block format the collector writes.
 func TestLeaderOverKilledDirectory(t *testing.T) {
-	for _, format := range []int{store.FormatV1, store.FormatV2} {
-		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
-			leaderDir := t.TempDir()
-			opts := []store.Option{store.WithFormat(format), store.WithBlockSize(2 << 10)}
-			killed, err := store.Open(leaderDir, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fillStore(t, killed, "kld", 24, 0)
-			if err := killed.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			// killed is abandoned un-Closed here.
+	t.Run("v2", func(t *testing.T) {
+		leaderDir := t.TempDir()
+		opts := []store.Option{store.WithBlockSize(2 << 10)}
+		killed, err := store.Open(leaderDir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillStore(t, killed, "kld", 24, 0)
+		if err := killed.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// killed is abandoned un-Closed here.
 
-			lst, err := store.Open(leaderDir, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sealed := func() (rows int) {
-				for month := range lst.ReplState() {
-					blocks, err := lst.BlocksSince(month, 0, 0, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, b := range blocks {
-						rows += b.Rows
-					}
+		lst, err := store.Open(leaderDir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := func() (rows int) {
+			for month := range lst.ReplState() {
+				blocks, err := lst.BlocksSince(month, 0, 0, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return rows
+				for _, b := range blocks {
+					rows += b.Rows
+				}
 			}
-			if got := lst.TotalStats().Reports; got != 24 || sealed() >= got {
-				t.Fatalf("reopened with %d reports, %d of them sealed: want 24 with some only in the journal", got, sealed())
-			}
-			if err := lst.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if sealed() != 24 {
-				t.Fatalf("%d rows sealed after Flush, want 24", sealed())
-			}
-			srv := leaderServer(t, lst, nil, obs.NewRegistry())
+			return rows
+		}
+		if got := lst.TotalStats().Reports; got != 24 || sealed() >= got {
+			t.Fatalf("reopened with %d reports, %d of them sealed: want 24 with some only in the journal", got, sealed())
+		}
+		if err := lst.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if sealed() != 24 {
+			t.Fatalf("%d rows sealed after Flush, want 24", sealed())
+		}
+		srv := leaderServer(t, lst, nil, obs.NewRegistry())
 
-			followerDir := t.TempDir()
-			fst, err := store.Open(followerDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := NewFollower(fst, srv.URL, obs.NewRegistry()).CatchUp(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			assertServedParity(t, lst, leaderDir, followerDir)
-			rst, err := store.Open(followerDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n, err := rst.Verify(); err != nil || n != 24 || rst.TotalStats() != lst.TotalStats() {
-				t.Fatalf("replica of a killed directory: %d rows verified (%v), stats %+v, leader %+v",
-					n, err, rst.TotalStats(), lst.TotalStats())
-			}
+		followerDir := t.TempDir()
+		fst, err := store.Open(followerDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewFollower(fst, srv.URL, obs.NewRegistry()).CatchUp(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		assertServedParity(t, lst, leaderDir, followerDir)
+		rst, err := store.Open(followerDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := rst.Verify(); err != nil || n != 24 || rst.TotalStats() != lst.TotalStats() {
+			t.Fatalf("replica of a killed directory: %d rows verified (%v), stats %+v, leader %+v",
+				n, err, rst.TotalStats(), lst.TotalStats())
+		}
 
-			// The collector resumes over what the leader sealed: nothing twice.
-			resumed, err := store.Open(leaderDir, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n, err := resumed.Verify(); err != nil || n != 24 {
-				t.Fatalf("collector resumed after the leader's Flush: %d rows verified, %v", n, err)
-			}
-		})
-	}
+		// The collector resumes over what the leader sealed: nothing twice.
+		resumed, err := store.Open(leaderDir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := resumed.Verify(); err != nil || n != 24 {
+			t.Fatalf("collector resumed after the leader's Flush: %d rows verified, %v", n, err)
+		}
+	})
 }
 
 // TestFaultyCampaignWithRestartParity is the tentpole proof: a
 // follower syncs from a leader behind an injected-fault transport,
 // is killed mid-campaign (store abandoned, cursor file truncated),
-// restarts, and still converges to a byte-identical replica — for
-// both block formats.
+// restarts, and still converges to a byte-identical replica. The
+// subtest is named for the block format the leader writes.
 func TestFaultyCampaignWithRestartParity(t *testing.T) {
-	for _, format := range []int{store.FormatV1, store.FormatV2} {
-		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
-			leaderDir := t.TempDir()
-			lst, err := store.Open(leaderDir, store.WithFormat(format), store.WithBlockSize(2<<10))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fillStore(t, lst, "fty", 24, 0)
-			publish(t, lst)
-			faults := &vtapi.FaultConfig{Error500Rate: 0.2, Error503Rate: 0.2, Seed: 42}
-			srv := leaderServer(t, lst, faults, obs.NewRegistry())
+	t.Run("v2", func(t *testing.T) {
+		leaderDir := t.TempDir()
+		lst, err := store.Open(leaderDir, store.WithBlockSize(2<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillStore(t, lst, "fty", 24, 0)
+		publish(t, lst)
+		faults := &vtapi.FaultConfig{Error500Rate: 0.2, Error503Rate: 0.2, Seed: 42}
+		srv := leaderServer(t, lst, faults, obs.NewRegistry())
 
-			followerDir := t.TempDir()
-			cursorPath := filepath.Join(t.TempDir(), "sync.cursor")
-			fst, err := store.Open(followerDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := NewFollower(fst, srv.URL, obs.NewRegistry())
-			f.CursorPath = cursorPath
-			f.BatchBlocks = 2 // small batches: many faulted round trips
-			stats, err := f.CatchUp(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Retries == 0 {
-				t.Fatal("fault injector never fired; campaign proves nothing")
-			}
+		followerDir := t.TempDir()
+		cursorPath := filepath.Join(t.TempDir(), "sync.cursor")
+		fst, err := store.Open(followerDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewFollower(fst, srv.URL, obs.NewRegistry())
+		f.CursorPath = cursorPath
+		f.BatchBlocks = 2 // small batches: many faulted round trips
+		stats, err := f.CatchUp(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Retries == 0 {
+			t.Fatal("fault injector never fired; campaign proves nothing")
+		}
 
-			// Kill the follower mid-campaign: abandon its store without
-			// Close and tear the cursor file mid-write.
-			raw, err := os.ReadFile(cursorPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(cursorPath, raw[:len(raw)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
+		// Kill the follower mid-campaign: abandon its store without
+		// Close and tear the cursor file mid-write.
+		raw, err := os.ReadFile(cursorPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cursorPath, raw[:len(raw)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-			// The leader keeps ingesting while the follower is down.
-			fillStore(t, lst, "fty", 24, 24)
-			publish(t, lst)
+		// The leader keeps ingesting while the follower is down.
+		fillStore(t, lst, "fty", 24, 24)
+		publish(t, lst)
 
-			// Restart: reopen the replica, reconcile, resume.
-			fst2, err := store.Open(followerDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg2 := obs.NewRegistry()
-			f2 := NewFollower(fst2, srv.URL, reg2)
-			f2.CursorPath = cursorPath
-			f2.BatchBlocks = 2
-			if _, err := f2.CatchUp(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if n := reg2.SumCounters("sync_cursor_recoveries_total"); n == 0 {
-				t.Fatal("truncated cursor went unnoticed")
-			}
-			assertServedParity(t, lst, leaderDir, followerDir)
+		// Restart: reopen the replica, reconcile, resume.
+		fst2, err := store.Open(followerDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg2 := obs.NewRegistry()
+		f2 := NewFollower(fst2, srv.URL, reg2)
+		f2.CursorPath = cursorPath
+		f2.BatchBlocks = 2
+		if _, err := f2.CatchUp(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := reg2.SumCounters("sync_cursor_recoveries_total"); n == 0 {
+			t.Fatal("truncated cursor went unnoticed")
+		}
+		assertServedParity(t, lst, leaderDir, followerDir)
 
-			// Full integrity pass over the replica.
-			rst, err := store.Open(followerDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rst.Verify(); err != nil {
-				t.Fatalf("replica verify: %v", err)
-			}
-			assertNoSyncGoroutines(t)
-		})
-	}
+		// Full integrity pass over the replica.
+		rst, err := store.Open(followerDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rst.Verify(); err != nil {
+			t.Fatalf("replica verify: %v", err)
+		}
+		assertNoSyncGoroutines(t)
+	})
 }
 
 // TestFollowerStaleCursor points a follower that is ahead of its
 // leader at that leader: it must fail typed, not loop or panic.
 func TestFollowerStaleCursor(t *testing.T) {
 	bigDir := t.TempDir()
-	buildLeaderStore(t, bigDir, store.FormatV2, 40)
+	buildLeaderStore(t, bigDir, 40)
 	smallDir := t.TempDir()
-	buildLeaderStore(t, smallDir, store.FormatV2, 8)
+	buildLeaderStore(t, smallDir, 8)
 
 	big, err := store.Open(bigDir)
 	if err != nil {
@@ -528,7 +565,7 @@ func TestFollowerRetriesExhausted(t *testing.T) {
 // count the failure.
 func TestFollowerRejectsTamperedBlocks(t *testing.T) {
 	leaderDir := t.TempDir()
-	buildLeaderStore(t, leaderDir, store.FormatV2, 20)
+	buildLeaderStore(t, leaderDir, 20)
 	lst, err := store.Open(leaderDir)
 	if err != nil {
 		t.Fatal(err)
