@@ -1,7 +1,7 @@
 // Package bufpool holds the process-wide free lists behind the
 // serialization/compression hot paths: gzip writers and readers, byte
-// slices for encoded rows, and the large scan buffers the partition
-// readers hand to bufio.Scanner.
+// slices for encoded rows, and the block-sized buffers partition
+// writers fill and partition readers decompress into.
 //
 // Every pool is a sync.Pool, so memory pressure still reclaims idle
 // buffers; the point is that steady-state ingest and scan loops stop
@@ -44,32 +44,6 @@ func PutBuf(b []byte) {
 	}
 	b = b[:0]
 	bufPool.Put(&b)
-}
-
-// scanBufLen sizes the line buffers handed to bufio.Scanner by the
-// partition readers; it matches the scanners' historical initial
-// buffer so pooling changes no behavior.
-const scanBufLen = 1 << 20
-
-var scanBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, scanBufLen)
-		return &b
-	},
-}
-
-// GetScanBuf returns a 1 MiB scratch buffer for bufio.Scanner.
-func GetScanBuf() []byte { return *scanBufPool.Get().(*[]byte) }
-
-// PutScanBuf returns a buffer obtained from GetScanBuf. Buffers the
-// scanner outgrew (it reallocates internally past the initial size)
-// may be passed too; undersized ones are dropped.
-func PutScanBuf(b []byte) {
-	if cap(b) < scanBufLen {
-		return
-	}
-	b = b[:scanBufLen]
-	scanBufPool.Put(&b)
 }
 
 // blockBufPool recycles the large raw-block accumulation buffers the

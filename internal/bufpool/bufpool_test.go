@@ -94,17 +94,6 @@ func TestBufReuse(t *testing.T) {
 	PutBuf(nil) // zero-cap slices are dropped, not pooled
 }
 
-func TestScanBufSize(t *testing.T) {
-	b := GetScanBuf()
-	if len(b) != scanBufLen {
-		t.Fatalf("scan buf len %d, want %d", len(b), scanBufLen)
-	}
-	PutScanBuf(b)
-	PutScanBuf(make([]byte, 16)) // undersized: dropped
-	grown := make([]byte, 4*scanBufLen)
-	PutScanBuf(grown) // oversized: kept
-}
-
 func TestBufferReuse(t *testing.T) {
 	buf := GetBuffer()
 	buf.WriteString("staged block")

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,4 +275,146 @@ func TestStoreDeterminismCheckpointed(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStoreReadsNeverWrite pins that reads leave no trace in the store:
+// the same campaign written with no reads, with a Get of every sample
+// of each PutBatch right after it, and beside a reader goroutine must
+// Close into file-for-file identical directories with equal
+// store_blocks_cut_total — a Get serves rows still pending in an open
+// block from the writer's memory instead of sealing them. Each row
+// carries its put ordinal (the first result's signature version), so
+// every Get taken mid-campaign must equal the reopened store's history
+// of that sample restricted to the rows it returned plus every row
+// acknowledged before it started: nothing acknowledged missing, nothing
+// twice, and storage order kept. Ties are the hard case for the order,
+// so each sample holds pairs of rows with equal timestamps.
+func TestStoreReadsNeverWrite(t *testing.T) {
+	const samples = 40
+	envs := make([]report.Envelope, 0, 480)
+	for i := 0; i < cap(envs); i++ {
+		at := storeT0.Add(time.Duration(i/(2*samples)) * 10 * 24 * time.Hour)
+		env := storeEnvelope(fmt.Sprintf("rw-%03d", i%samples), at, i%6)
+		env.Scan.Results[0].SignatureVersion = i
+		envs = append(envs, env)
+	}
+	ordinals := func(h *report.History) []int {
+		out := make([]int, len(h.Reports))
+		for i, r := range h.Reports {
+			out[i] = r.Results[0].SignatureVersion
+		}
+		return out
+	}
+	// seen is one mid-campaign Get: the ordinals it returned, and how
+	// many envelopes had been acknowledged when it started.
+	type seen struct {
+		sha   string
+		got   []int
+		acked int
+	}
+	collect := func(mode string) (dir string, cuts int64, gets []seen) {
+		dir = t.TempDir()
+		reg := obs.NewRegistry()
+		s, err := store.Open(dir, store.WithBlockSize(4<<10), store.WithMetrics(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acked atomic.Int64
+		stop, done := make(chan struct{}), make(chan error, 1)
+		if mode == "concurrent" {
+			go func() {
+				for n := 0; ; n++ {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					a := int(acked.Load())
+					if a == 0 {
+						continue
+					}
+					sha := envs[a-1-n%min(a, samples)].Meta.SHA256
+					h, err := s.Get(sha)
+					if err != nil {
+						done <- err
+						return
+					}
+					gets = append(gets, seen{sha, ordinals(h), a})
+				}
+			}()
+		}
+		for i := 0; i < len(envs); i += 9 {
+			batch := envs[i:min(i+9, len(envs))]
+			if err := s.PutBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			acked.Store(int64(i + len(batch)))
+			if mode != "get-after-put" {
+				continue
+			}
+			for _, env := range batch {
+				h, err := s.Get(env.Meta.SHA256)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gets = append(gets, seen{env.Meta.SHA256, ordinals(h), i + len(batch)})
+			}
+		}
+		if mode == "concurrent" {
+			close(stop)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, reg.SumCounters("store_blocks_cut_total"), gets
+	}
+
+	wantDir, wantCuts, _ := collect("none")
+	if wantCuts < 10 {
+		t.Fatalf("reference campaign cut %d blocks; it must cross many", wantCuts)
+	}
+	want := hashDir(t, wantDir)
+	for _, mode := range []string{"get-after-put", "concurrent"} {
+		dir, cuts, gets := collect(mode)
+		if got := hashDir(t, dir); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: directory differs from the read-free run:\n got %v\nwant %v", mode, got, want)
+		}
+		if cuts != wantCuts {
+			t.Errorf("%s: cut %d blocks, the read-free run cut %d", mode, cuts, wantCuts)
+		}
+		if len(gets) == 0 {
+			t.Fatalf("%s: no Get ran", mode)
+		}
+		re, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range gets {
+			h, err := re.Get(g.sha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			returned := make(map[int]bool, len(g.got))
+			for _, o := range g.got {
+				returned[o] = true
+			}
+			var wantOrd []int
+			for _, o := range ordinals(h) {
+				if o < g.acked || returned[o] {
+					wantOrd = append(wantOrd, o)
+				}
+			}
+			if !reflect.DeepEqual(g.got, wantOrd) {
+				t.Fatalf("%s: Get(%s) with %d rows acknowledged returned ordinals %v; the reopened store gives %v",
+					mode, g.sha, g.acked, g.got, wantOrd)
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -13,9 +13,13 @@ import (
 // TestStoreReadPathStress hammers the indexed read path while writers
 // keep appending: concurrent Gets (cache hits, misses, singleflight
 // leaders), IterAll passes, Syncs, and Flushes, all under go test
-// -race. Every Get must satisfy read-your-writes — a sample Put
-// before the Get started can never be missing — and return reports in
-// nondecreasing time order.
+// -race. Every row is unique (its timestamp is its writer's sequence
+// number), so each Get is checked for exactly-once reads: every row
+// acknowledged before the Get started is present — read-your-writes —
+// no row appears twice, and reports come in nondecreasing time order.
+// A Get reads a month's pending rows and its block horizon in one
+// critical section with the writer; a row sealed between the two would
+// show up here as missing or doubled.
 func TestStoreReadPathStress(t *testing.T) {
 	const (
 		writers = 8
@@ -36,6 +40,17 @@ func TestStoreReadPathStress(t *testing.T) {
 		}
 	}
 
+	// acked holds, per key, the timestamps of the rows whose Put
+	// returned; the seed rows sit at storeT0, before every writer row.
+	var (
+		ackMu sync.Mutex
+		acked = make(map[string][]time.Time)
+	)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < 4; i++ {
+			acked[keyFor(w, i)] = []time.Time{storeT0}
+		}
+	}
 	var wg sync.WaitGroup
 	errc := make(chan error, writers+readers+2)
 	for w := 0; w < writers; w++ {
@@ -43,11 +58,15 @@ func TestStoreReadPathStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				at := storeT0.Add(time.Duration(i%2) * 31 * 24 * time.Hour).Add(time.Duration(i) * time.Minute)
-				if err := s.Put(storeEnvelope(keyFor(w, i%4), at, i%6)); err != nil {
+				key := keyFor(w, i%4)
+				at := storeT0.Add(time.Duration(i%2) * 31 * 24 * time.Hour).Add(time.Duration(i+1) * time.Minute)
+				if err := s.Put(storeEnvelope(key, at, i%6)); err != nil {
 					errc <- err
 					return
 				}
+				ackMu.Lock()
+				acked[key] = append(acked[key], at)
+				ackMu.Unlock()
 			}
 		}(w)
 	}
@@ -63,25 +82,23 @@ func TestStoreReadPathStress(t *testing.T) {
 					return
 				default:
 				}
-				h, err := s.Get(keyFor(r%writers, n%4))
+				key := keyFor(r%writers, n%4)
+				ackMu.Lock()
+				want := append([]time.Time(nil), acked[key]...)
+				ackMu.Unlock()
+				h, err := s.Get(key)
 				if err != nil {
 					errc <- err
 					return
 				}
-				// The seed row is visible forever, and ordering holds.
-				if len(h.Reports) == 0 {
-					errc <- fmt.Errorf("Get(%s) returned no reports", keyFor(r%writers, n%4))
+				if err := exactlyOnce(h, want); err != nil {
+					errc <- fmt.Errorf("Get(%s): %w", key, err)
 					return
 				}
-				for i := 1; i < len(h.Reports); i++ {
-					if h.Reports[i].AnalysisDate.Before(h.Reports[i-1].AnalysisDate) {
-						errc <- fmt.Errorf("Get(%s) out of order at %d", h.Meta.SHA256, i)
-						return
-					}
-				}
-				// Returned histories are private: scribbling on them
-				// must never corrupt what other readers see.
-				h.Reports[0].AVRank = -1
+				// The returned History and Reports slice are private:
+				// scribbling on them must never corrupt what other
+				// readers see.
+				h.Reports[0] = &report.ScanReport{AVRank: -1}
 				h.Meta.FileType = "scribble"
 			}
 		}(r)
@@ -158,6 +175,28 @@ func TestStoreReadPathStress(t *testing.T) {
 }
 
 func keyFor(w, i int) string { return fmt.Sprintf("rd-%02d-%d", w, i) }
+
+// exactlyOnce checks one Get of a sample whose rows all have distinct
+// timestamps: in nondecreasing time order, no row twice, and every
+// acknowledged timestamp in acked present.
+func exactlyOnce(h *report.History, acked []time.Time) error {
+	seen := make(map[int64]bool, len(h.Reports))
+	for i, r := range h.Reports {
+		if i > 0 && r.AnalysisDate.Before(h.Reports[i-1].AnalysisDate) {
+			return fmt.Errorf("out of order at %d", i)
+		}
+		if seen[r.AnalysisDate.Unix()] {
+			return fmt.Errorf("row at %v returned twice", r.AnalysisDate)
+		}
+		seen[r.AnalysisDate.Unix()] = true
+	}
+	for _, at := range acked {
+		if !seen[at.Unix()] {
+			return fmt.Errorf("acknowledged row at %v missing from %d rows", at, len(h.Reports))
+		}
+	}
+	return nil
+}
 
 // TestStoreGetDeterministicUnderWriters checks that once writes
 // quiesce, repeated Gets return the identical report sequence no

@@ -145,21 +145,34 @@ func BenchmarkGetIndexedV1(b *testing.B) {
 	}
 }
 
-// BenchmarkGetCold is the indexed disk path with the cache enabled
-// but never hit: every iteration asks for a different sample than the
-// cache can hold on a strided walk.
-func BenchmarkGetCold(b *testing.B) {
-	s := buildReadStore(b, b.TempDir(), WithCacheSize(0))
+// BenchmarkGetPending measures read-your-writes on an open writer: a
+// Put, then a Get of that sample, which decodes the row from the
+// pending block's JSONL copy in memory — no block is sealed for it.
+func BenchmarkGetPending(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Get(benchSHA(i * 7919)); err != nil {
+		sha := fmt.Sprintf("pend%08d", i)
+		if err := s.Put(envelope(sha, t0.Add(time.Duration(i)*time.Second), 10)); err != nil {
 			b.Fatal(err)
 		}
+		if h, err := s.Get(sha); err != nil || len(h.Reports) != 1 {
+			b.Fatalf("Get(%s) = %v, %v", sha, h, err)
+		}
+	}
+	b.StopTimer()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 
 // BenchmarkGetHot measures a cache hit: repeated Gets of a small hot
-// set, each serving a deep copy from the LRU.
+// set, each handing out a fresh Reports slice over the cached, shared
+// *ScanReports (shareHistory) — no report is copied.
 func BenchmarkGetHot(b *testing.B) {
 	s := buildReadStore(b, b.TempDir())
 	for i := 0; i < 16; i++ { // warm the hot set

@@ -25,7 +25,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -149,19 +148,11 @@ func (ix *partIndex) takeUnsynced() bool {
 	return was
 }
 
-// blocksFor snapshots the blocks that hold sha, in file order.
-func (ix *partIndex) blocksFor(sha string) []blockMeta {
+// numBlocks is the length of the block list.
+func (ix *partIndex) numBlocks() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ids := ix.postings[sha]
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]blockMeta, len(ids))
-	for i, id := range ids {
-		out[i] = ix.blocks[id]
-	}
-	return out
+	return len(ix.blocks)
 }
 
 // totals returns the rows and raw bytes of all blocks.
@@ -442,22 +433,18 @@ func analyzePayload(path string, payload []byte, maxVer int) (payloadSummary, er
 	sum.ver = sniffVersion(payload)
 	switch {
 	case sum.ver == FormatV1:
-		sc := bufio.NewScanner(bytes.NewReader(payload))
-		sbuf := bufpool.GetScanBuf()
-		defer bufpool.PutScanBuf(sbuf)
-		sc.Buffer(sbuf, 16<<20)
 		var row scanRow
 		var acc zoneAcc
-		for sc.Scan() {
-			if err := decodeScanRow(sc.Bytes(), &row); err != nil {
-				return sum, err
+		if err := forEachLine(payload, func(line []byte) error {
+			if err := decodeScanRow(line, &row); err != nil {
+				return err
 			}
 			sum.rows++
-			sum.raw += int64(len(sc.Bytes()))
+			sum.raw += int64(len(line))
 			sum.shas[row.SHA]++
 			acc.row(&row)
-		}
-		if err := sc.Err(); err != nil {
+			return nil
+		}); err != nil {
 			return sum, err
 		}
 		sum.zone = acc.z
@@ -506,58 +493,54 @@ func indexPartition(path string, maxVer int) (ix *partIndex, goodEnd int64, torn
 	return ix, goodEnd, torn, err
 }
 
-// scanBlock streams the rows of one block, dispatching on the block's
-// format version. The section reader keeps the decoder inside the
-// member even though members are concatenated.
+// scanBlock decodes every row of one block, in storage order, through
+// fn, dispatching on the block's format version. The row passed to fn
+// is reused between calls (its strings are owned, only the Res backing
+// array is recycled), so fn must copy what it keeps — every caller
+// goes through rowToReport, which does.
 func scanBlock(path string, bm blockMeta, maxVer int, fn func(row scanRow)) error {
-	f, err := os.Open(path)
+	payload, err := readBlockPayloadAt(path, bm, maxVer)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	defer f.Close()
-	return scanBlockAt(f, path, bm, maxVer, fn)
-}
-
-// scanBlockAt is scanBlock over an already open partition file, so a
-// multi-block Get opens the file once. The row passed to fn is reused
-// between calls (its strings are owned, only the Res backing array is
-// recycled), so fn must copy what it keeps — every caller goes
-// through rowToReport, which does.
-func scanBlockAt(f *os.File, path string, bm blockMeta, maxVer int, fn func(row scanRow)) error {
-	switch ver := blockVer(bm); {
-	case ver == FormatV1:
+	defer bufpool.PutBlockBuf(payload)
+	if blockVer(bm) == FormatV1 {
 		var row scanRow
-		return scanBlockLinesAt(f, path, bm, func(line []byte) error {
+		err = forEachLine(payload, func(line []byte) error {
 			if err := decodeScanRow(line, &row); err != nil {
 				return err
 			}
 			fn(row)
 			return nil
 		})
-	case ver <= maxVer:
-		payload, err := readBlockPayloadAt(f, path, bm)
-		if err != nil {
-			return err
+	} else {
+		var cb *colBlock
+		if cb, err = parseColumnarBlock(payload, wantAllDicts); err == nil {
+			err = cb.forEachRow(func(row *scanRow) error {
+				fn(*row)
+				return nil
+			})
 		}
-		defer bufpool.PutBlockBuf(payload)
-		cb, err := parseColumnarBlock(payload, wantAllDicts)
-		if err != nil {
-			return fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-		}
-		return cb.forEachRow(func(row *scanRow) error {
-			fn(*row)
-			return nil
-		})
-	default:
-		return &FormatError{Path: path, Version: ver, Max: maxVer}
 	}
+	if err != nil {
+		return fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
+	}
+	return nil
 }
 
-// readBlockPayloadAt decompresses one member into a pooled block
-// buffer (release with bufpool.PutBlockBuf). Columnar readers use it
-// because their decoders want the whole payload in memory to slice
-// into column segments.
-func readBlockPayloadAt(f *os.File, path string, bm blockMeta) ([]byte, error) {
+// readBlockPayloadAt decompresses the member bm locates into a pooled
+// block buffer (release with bufpool.PutBlockBuf): the one way every
+// reader gets a block's bytes. A block tagged with a format newer than
+// maxVer is a *FormatError naming path, before any byte is read.
+func readBlockPayloadAt(path string, bm blockMeta, maxVer int) ([]byte, error) {
+	if ver := blockVer(bm); ver > maxVer {
+		return nil, &FormatError{Path: path, Version: ver, Max: maxVer}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
 	sec := io.NewSectionReader(f, bm.Offset, bm.Len)
 	br := bufpool.GetBufioReader(sec)
 	defer bufpool.PutBufioReader(br)
@@ -573,34 +556,4 @@ func readBlockPayloadAt(f *os.File, path string, bm blockMeta) ([]byte, error) {
 		return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
 	}
 	return buf, nil
-}
-
-// scanBlockLinesAt streams one block's raw lines through fn, drawing
-// the buffered reader, gzip state, and scanner buffer from the shared
-// pools. The line aliases the scanner's buffer and is only valid
-// during the call. An fn error stops the scan and is returned
-// verbatim (wrapped with the block's position).
-func scanBlockLinesAt(f *os.File, path string, bm blockMeta, fn func(line []byte) error) error {
-	sec := io.NewSectionReader(f, bm.Offset, bm.Len)
-	br := bufpool.GetBufioReader(sec)
-	defer bufpool.PutBufioReader(br)
-	zr, err := bufpool.GetGzipReader(br)
-	if err != nil {
-		return fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-	}
-	defer bufpool.PutGzipReader(zr)
-	defer zr.Close()
-	sc := bufio.NewScanner(zr)
-	sbuf := bufpool.GetScanBuf()
-	defer bufpool.PutScanBuf(sbuf)
-	sc.Buffer(sbuf, 16<<20)
-	for sc.Scan() {
-		if err := fn(sc.Bytes()); err != nil {
-			return fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-	}
-	return nil
 }

@@ -277,8 +277,9 @@ func TestReindexMatchesWriterIndex(t *testing.T) {
 		t.Fatalf("rebuilt blocks diverge:\nlive    %+v\nrebuilt %+v",
 			live.snapshotBlocks(), rebuilt.snapshotBlocks())
 	}
+	livePostings, rebuiltPostings := live.snapshotPostings(), rebuilt.snapshotPostings()
 	for _, sha := range []string{"ix0000", "ix0055", "ix0119"} {
-		if !reflect.DeepEqual(live.blocksFor(sha), rebuilt.blocksFor(sha)) {
+		if !reflect.DeepEqual(livePostings[sha], rebuiltPostings[sha]) {
 			t.Fatalf("%s: postings diverge", sha)
 		}
 	}
@@ -466,10 +467,14 @@ func TestSidecarWriteFailureIsRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sync cuts nothing and rewrites a sidecar only when a block sealed
-	// since the last one; the read-your-writes cut of a Get seals the
-	// new row's, which makes the sidecar due.
+	// since the last one. A Get reads the pending row from memory and
+	// seals nothing; Flush seals it, which makes the sidecar due — and
+	// Flush's own sidecar write is the first to fail.
 	if h, err := s.Get("more"); err != nil || len(h.Reports) != 1 {
 		t.Fatalf("Get of the pending row: %v, %v", h, err)
+	}
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush swallowed a failed sidecar write")
 	}
 	if err := s.Sync(); err == nil {
 		t.Fatal("Sync swallowed a failed sidecar write")

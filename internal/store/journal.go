@@ -22,8 +22,8 @@
 // journal. Metas and accounting are applied; a row is re-fed to its
 // month's writer only when its ordinal lies past the rows the sealed
 // blocks already hold — a block that sealed after its rows were
-// journaled (by filling, by Get's read-your-writes cut, by Flush) is
-// therefore never replayed twice. An invalid final stretch of the file
+// journaled (by filling or by Flush; reads never seal) is therefore
+// never replayed twice. An invalid final stretch of the file
 // is an unacknowledged Sync: it is dropped and counted, and the next
 // append truncates it. Anything else invalid is ErrJournalCorrupt and
 // needs RepairDir, which truncates at the last whole record.
@@ -716,7 +716,7 @@ func (s *Store) foldThreshold(restart int64) int64 {
 // whole by the next Sync or Close. Caller holds s.jmu.
 func (s *Store) fold(final bool) error {
 	s.jstale = true
-	for _, mi := range s.monthIndexes("") {
+	for _, mi := range s.monthIndexes(nil) {
 		if err := s.syncPartition(mi.month, mi.ix); err != nil {
 			return err
 		}

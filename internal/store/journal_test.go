@@ -128,8 +128,8 @@ func journalSize(t *testing.T, dir string) int64 {
 // must bring back the store as of the previous Sync (or of the last,
 // once the record is whole), with every acknowledged row exactly once —
 // across the two exactly-once traps the campaign contains: blocks that
-// fill between two Syncs, and Gets whose read-your-writes cut seals
-// rows the journal already carries. The subtest is named for the block
+// fill between two Syncs, and Flushes between two Syncs that seal rows
+// the journal already carries. The subtest is named for the block
 // format the campaign writes.
 func TestJournalTornFinalRecordEveryLength(t *testing.T) {
 	t.Run("v2", func(t *testing.T) {
@@ -144,11 +144,11 @@ func TestJournalTornFinalRecordEveryLength(t *testing.T) {
 		// is a case below.
 		wins := append(journalCampaign(), []report.Envelope{envelope("jr-last", t0.Add(500*time.Hour), 0)})
 		var (
-			put             []report.Envelope
-			before          storeState
-			putBefore       int
-			sizeBefore      int64
-			filled, readCut int64
+			put              []report.Envelope
+			before           storeState
+			putBefore        int
+			sizeBefore       int64
+			filled, flushCut int64
 		)
 		for i, win := range wins {
 			c0 := cuts()
@@ -164,18 +164,18 @@ func TestJournalTornFinalRecordEveryLength(t *testing.T) {
 			c1 := cuts()
 			filled += c1 - c0
 			if i%5 == 1 { // seal rows the record above just journaled
-				if _, err := s.Get(win[0].Scan.SHA256); err != nil {
+				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				readCut += cuts() - c1
+				flushCut += cuts() - c1
 			}
 			if i == len(wins)-2 {
 				before, putBefore, sizeBefore = stateOf(s), len(put), journalSize(t, dir)
 			}
 		}
 		after, sizeAfter := stateOf(s), journalSize(t, dir)
-		if filled == 0 || readCut == 0 {
-			t.Fatalf("campaign has %d fill cuts and %d read cuts between Syncs; both traps must occur", filled, readCut)
+		if filled == 0 || flushCut == 0 {
+			t.Fatalf("campaign has %d fill cuts and %d flush cuts between Syncs; both traps must occur", filled, flushCut)
 		}
 		if after.total.StoredBytes == 0 || after.total.StoredBytes >= after.total.RawBytes {
 			t.Fatalf("live StoredBytes = %d beside %d raw: committed blocks not accounted", after.total.StoredBytes, after.total.RawBytes)

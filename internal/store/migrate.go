@@ -42,7 +42,7 @@ func (s *Store) Migrate() (MigrateStats, error) {
 	if err := s.Flush(); err != nil {
 		return ms, err
 	}
-	for _, mi := range s.monthIndexes("") {
+	for _, mi := range s.monthIndexes(nil) {
 		migrated, err := s.migrateMonth(mi.month, mi.ix.snapshotBlocks())
 		if err != nil {
 			return ms, err

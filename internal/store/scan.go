@@ -41,7 +41,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -335,7 +334,7 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 	skippedPerBlock := int64(numColSegs - cq.touchedSegments())
 
 	// Plan: walk every sidecar entry, prune or schedule.
-	jobs := s.planBlocks("", func(mi monthIndex, blocks []blockMeta) func(int) bool {
+	jobs := s.planBlocks(nil, func(mi monthIndex, blocks []blockMeta) func(int) bool {
 		var shaAllowed map[int]bool
 		if cq.shaSet != nil {
 			shaAllowed = mi.ix.postingSeqsFor(q.SHAs)
@@ -415,15 +414,7 @@ func (s *Store) runScanJob(j blockJob, cq *compiledQuery, pt Partial) (int64, er
 		}
 		return rf.rows, rf.err
 	}
-	if ver := blockVer(j.bm); ver > s.maxFormat {
-		return 0, &FormatError{Path: j.path, Version: ver, Max: s.maxFormat}
-	}
-	f, err := os.Open(j.path)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	payload, err := readBlockPayloadAt(f, j.path, j.bm)
+	payload, err := readBlockPayloadAt(j.path, j.bm, s.maxFormat)
 	if err != nil {
 		return 0, err
 	}
