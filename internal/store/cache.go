@@ -13,7 +13,6 @@ import (
 	"container/list"
 	"sync"
 
-	"vtdynamics/internal/obs"
 	"vtdynamics/internal/report"
 )
 
@@ -28,30 +27,11 @@ type historyCache struct {
 	ll      *list.List               // front = most recently used
 	entries map[string]*list.Element // sha -> element; value is *cacheEntry
 	flights map[string]*flight
-	m       cacheMetrics
+	// m receives the cache counters. A singleflight follower counts as
+	// a hit (it triggered no load) plus a dedup, so hits + misses always
+	// equals Gets through the cache.
+	m *storeMetrics
 }
-
-// cacheMetrics is the store's view of cache effectiveness. A
-// singleflight follower counts as a hit (it triggered no load) plus a
-// dedup, so hits + misses always equals Gets through the cache.
-type cacheMetrics struct {
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	dedup     *obs.Counter
-}
-
-// discardCacheMetrics backs caches built outside a Store (tests
-// construct historyCache directly); counts go to a private registry.
-var discardCacheMetrics = func() cacheMetrics {
-	r := obs.NewRegistry()
-	return cacheMetrics{
-		hits:      r.Counter("store_cache_hits_total"),
-		misses:    r.Counter("store_cache_misses_total"),
-		evictions: r.Counter("store_cache_evictions_total"),
-		dedup:     r.Counter("store_singleflight_dedup_total"),
-	}
-}()
 
 type cacheEntry struct {
 	sha string
@@ -69,7 +49,7 @@ type flight struct {
 	dirty bool
 }
 
-func newHistoryCache(capacity int) *historyCache {
+func newHistoryCache(capacity int, m *storeMetrics) *historyCache {
 	if capacity <= 0 {
 		return nil
 	}
@@ -78,7 +58,7 @@ func newHistoryCache(capacity int) *historyCache {
 		ll:      list.New(),
 		entries: make(map[string]*list.Element),
 		flights: make(map[string]*flight),
-		m:       discardCacheMetrics,
+		m:       m,
 	}
 }
 
@@ -92,12 +72,12 @@ func (c *historyCache) get(sha string, load func(string) (*report.History, error
 		c.ll.MoveToFront(el)
 		h := el.Value.(*cacheEntry).h
 		c.mu.Unlock()
-		c.m.hits.Inc()
+		c.m.cacheHits.Inc()
 		return shareHistory(h), nil
 	}
 	if fl, ok := c.flights[sha]; ok {
 		c.mu.Unlock()
-		c.m.hits.Inc()
+		c.m.cacheHits.Inc()
 		c.m.dedup.Inc()
 		<-fl.done
 		if fl.err != nil {
@@ -108,7 +88,7 @@ func (c *historyCache) get(sha string, load func(string) (*report.History, error
 	fl := &flight{done: make(chan struct{})}
 	c.flights[sha] = fl
 	c.mu.Unlock()
-	c.m.misses.Inc()
+	c.m.cacheMisses.Inc()
 
 	h, err := load(sha)
 
@@ -138,7 +118,7 @@ func (c *historyCache) insertLocked(sha string, h *report.History) {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
 		delete(c.entries, tail.Value.(*cacheEntry).sha)
-		c.m.evictions.Inc()
+		c.m.cacheEvictions.Inc()
 	}
 }
 

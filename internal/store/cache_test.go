@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vtdynamics/internal/obs"
 	"vtdynamics/internal/report"
 )
 
@@ -17,7 +18,7 @@ func testHistory(sha string, rank int) *report.History {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := newHistoryCache(16)
+	c := newHistoryCache(16, newStoreMetrics(obs.NewRegistry()))
 	var loads atomic.Int64
 	gate := make(chan struct{})
 	load := func(sha string) (*report.History, error) {
@@ -68,7 +69,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newHistoryCache(2)
+	c := newHistoryCache(2, newStoreMetrics(obs.NewRegistry()))
 	var loads atomic.Int64
 	load := func(sha string) (*report.History, error) {
 		loads.Add(1)
@@ -97,7 +98,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheInvalidatePoisonsFlight(t *testing.T) {
-	c := newHistoryCache(16)
+	c := newHistoryCache(16, newStoreMetrics(obs.NewRegistry()))
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var loads atomic.Int64
@@ -272,7 +273,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheConcurrentMixedShas(t *testing.T) {
-	c := newHistoryCache(8)
+	c := newHistoryCache(8, newStoreMetrics(obs.NewRegistry()))
 	var loads atomic.Int64
 	load := func(sha string) (*report.History, error) {
 		loads.Add(1)
