@@ -12,9 +12,10 @@
 // stats and verify fan partition blocks across -workers goroutines
 // (default: all cores). Opening a store already rebuilds, in memory,
 // the index of any month whose sidecar is missing, stale, torn, or
-// pre-zone, so every subcommand sees fully indexed, zone-mapped months
-// (stats, verify, and migrate flush, which writes the rebuilt sidecars
-// back). reindex is the unconditional repair: it re-derives every
+// pre-zone, so every subcommand sees fully indexed, zone-mapped months.
+// stats and verify only read: they write nothing, rebuilt sidecars
+// included, while migrate and reindex write those back. reindex is the
+// unconditional repair: it re-derives every
 // sidecar from the partition bytes — the fix for a sidecar that loads
 // but that verify disproves. migrate upgrades the v1 partitions older
 // builds wrote to the columnar v2 block format, feeding their rows

@@ -148,13 +148,11 @@ func (cc *crashCampaign) rowCounts(t *testing.T) map[string]int {
 	}
 	defer st.Close()
 	counts := make(map[string]int)
-	for _, month := range st.Months() {
-		if err := st.IterReports(month, func(r *report.ScanReport) error {
-			counts[r.SHA256]++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	if err := st.IterAll(1, func(_ string, r *report.ScanReport) error {
+		counts[r.SHA256]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := st.Verify(); err != nil {
 		t.Fatalf("store verify after crash-resume: %v", err)

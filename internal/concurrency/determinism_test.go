@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -278,17 +280,24 @@ func TestStoreDeterminismCheckpointed(t *testing.T) {
 }
 
 // TestStoreReadsNeverWrite pins that reads leave no trace in the store:
-// the same campaign written with no reads, with a Get of every sample
-// of each PutBatch right after it, and beside a reader goroutine must
-// Close into file-for-file identical directories with equal
-// store_blocks_cut_total — a Get serves rows still pending in an open
-// block from the writer's memory instead of sealing them. Each row
-// carries its put ordinal (the first result's signature version), so
-// every Get taken mid-campaign must equal the reopened store's history
-// of that sample restricted to the rows it returned plus every row
-// acknowledged before it started: nothing acknowledged missing, nothing
-// twice, and storage order kept. Ties are the hard case for the order,
-// so each sample holds pairs of rows with equal timestamps.
+// the same campaign written with no reads, with reads between its
+// PutBatches, and beside a reader goroutine must Close into
+// file-for-file identical directories with equal
+// store_blocks_cut_total — every read (Get, Scan, IterAll, StatsByType,
+// Verify) serves rows still pending in an open block from the writer's
+// memory instead of sealing them. Each row carries its put ordinal (the
+// first result's signature version). A Get taken mid-campaign must
+// equal the reopened store's history of that sample restricted to the
+// rows it returned plus every row acknowledged before it started:
+// nothing acknowledged missing, nothing twice, and storage order kept.
+// Ties are the hard case for the order, so each sample holds pairs of
+// rows with equal timestamps. The full-store reads must count every
+// acknowledged row, exactly so between batches. In the concurrent arms
+// the writer sends no batch until a read that started after the
+// previous one was acknowledged has completed, so reads interleave with
+// every batch in every run. Verify runs between batches only: Put
+// writes a row before it indexes the sample, so a concurrent Verify may
+// see a row of a sample not yet known.
 func TestStoreReadsNeverWrite(t *testing.T) {
 	const samples = 40
 	envs := make([]report.Envelope, 0, 480)
@@ -305,6 +314,15 @@ func TestStoreReadsNeverWrite(t *testing.T) {
 		}
 		return out
 	}
+	// counted checks a full-store read's row count against the a rows
+	// acknowledged when it started: all of them and at most every row
+	// written, or exactly them when no Put ran beside the read.
+	counted := func(what string, n int64, a int, exact bool) error {
+		if n < int64(a) || n > int64(len(envs)) || (exact && n != int64(a)) {
+			return fmt.Errorf("%s counted %d rows with %d acknowledged (exact=%v)", what, n, a, exact)
+		}
+		return nil
+	}
 	// seen is one mid-campaign Get: the ordinals it returned, and how
 	// many envelopes had been acknowledged when it started.
 	type seen struct {
@@ -312,18 +330,100 @@ func TestStoreReadsNeverWrite(t *testing.T) {
 		got   []int
 		acked int
 	}
-	collect := func(mode string) (dir string, cuts int64, gets []seen) {
+	// fullReads are the full-store reads, each checked where it runs.
+	fullReads := map[string]func(s *store.Store, a int, exact bool) error{
+		"scan": func(s *store.Store, a int, exact bool) error {
+			var count store.CountAgg
+			var group store.GroupCountByType
+			if _, err := s.Scan(store.Query{Cols: store.ColFT}, &store.MultiAgg{Aggs: []store.Agg{&count, &group}}); err != nil {
+				return err
+			}
+			var byType int64
+			for _, n := range group.Counts {
+				byType += n
+			}
+			if byType != count.N {
+				return fmt.Errorf("census groups %d rows, counts %d", byType, count.N)
+			}
+			return counted("Scan", count.N, a, exact)
+		},
+		"iterall": func(s *store.Store, a int, exact bool) error {
+			var mu sync.Mutex
+			got := make(map[int]bool)
+			err := s.IterAll(2, func(_ string, r *report.ScanReport) error {
+				mu.Lock()
+				defer mu.Unlock()
+				o := r.Results[0].SignatureVersion
+				if got[o] {
+					return fmt.Errorf("IterAll returned ordinal %d twice", o)
+				}
+				got[o] = true
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			for o := 0; o < a; o++ {
+				if !got[o] {
+					return fmt.Errorf("IterAll missed acknowledged ordinal %d", o)
+				}
+			}
+			return counted("IterAll", int64(len(got)), a, exact)
+		},
+		"statsbytype": func(s *store.Store, a int, exact bool) error {
+			byType, err := s.StatsByType()
+			if err != nil {
+				return err
+			}
+			var n int64
+			for _, ts := range byType {
+				n += int64(ts.Reports)
+			}
+			return counted("StatsByType", n, a, exact)
+		},
+		"verify": func(s *store.Store, a int, exact bool) error {
+			n, err := s.Verify()
+			if err != nil {
+				return err
+			}
+			return counted("Verify", int64(n), a, exact)
+		},
+	}
+	collect := func(read string, concurrent bool) (dir string, cuts int64, gets []seen, reads int) {
 		dir = t.TempDir()
 		reg := obs.NewRegistry()
 		s, err := store.Open(dir, store.WithBlockSize(4<<10), store.WithMetrics(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var acked atomic.Int64
-		stop, done := make(chan struct{}), make(chan error, 1)
-		if mode == "concurrent" {
+		readOnce := func(a int, batch []report.Envelope) error {
+			reads++
+			if read != "get" {
+				return fullReads[read](s, a, !concurrent)
+			}
+			shas := make([]string, 0, len(batch))
+			for _, env := range batch {
+				shas = append(shas, env.Meta.SHA256)
+			}
+			if concurrent {
+				shas = []string{envs[a-1-reads%min(a, samples)].Meta.SHA256}
+			}
+			for _, sha := range shas {
+				h, err := s.Get(sha)
+				if err != nil {
+					return err
+				}
+				gets = append(gets, seen{sha, ordinals(h), a})
+			}
+			return nil
+		}
+		// lastRead is the acknowledged count at the start of the latest
+		// completed concurrent read; readDone signals that it moved.
+		var acked, lastRead atomic.Int64
+		stop, done, readDone := make(chan struct{}), make(chan error, 1), make(chan struct{}, 1)
+		if concurrent {
 			go func() {
-				for n := 0; ; n++ {
+				for {
 					select {
 					case <-stop:
 						done <- nil
@@ -332,15 +432,18 @@ func TestStoreReadsNeverWrite(t *testing.T) {
 					}
 					a := int(acked.Load())
 					if a == 0 {
+						runtime.Gosched()
 						continue
 					}
-					sha := envs[a-1-n%min(a, samples)].Meta.SHA256
-					h, err := s.Get(sha)
-					if err != nil {
+					if err := readOnce(a, nil); err != nil {
 						done <- err
 						return
 					}
-					gets = append(gets, seen{sha, ordinals(h), a})
+					lastRead.Store(int64(a))
+					select {
+					case readDone <- struct{}{}:
+					default:
+					}
 				}
 			}()
 		}
@@ -349,19 +452,27 @@ func TestStoreReadsNeverWrite(t *testing.T) {
 			if err := s.PutBatch(batch); err != nil {
 				t.Fatal(err)
 			}
-			acked.Store(int64(i + len(batch)))
-			if mode != "get-after-put" {
-				continue
-			}
-			for _, env := range batch {
-				h, err := s.Get(env.Meta.SHA256)
-				if err != nil {
+			n := i + len(batch)
+			acked.Store(int64(n))
+			switch {
+			case read == "none":
+			case !concurrent:
+				if err := readOnce(n, batch); err != nil {
 					t.Fatal(err)
 				}
-				gets = append(gets, seen{env.Meta.SHA256, ordinals(h), i + len(batch)})
+			case n < len(envs):
+				// Handshake: the next batch waits for a read that
+				// started after this one was acknowledged.
+				for lastRead.Load() < int64(n) {
+					select {
+					case <-readDone:
+					case err := <-done:
+						t.Fatalf("concurrent %s stopped: %v", read, err)
+					}
+				}
 			}
 		}
-		if mode == "concurrent" {
+		if concurrent {
 			close(stop)
 			if err := <-done; err != nil {
 				t.Fatal(err)
@@ -370,24 +481,40 @@ func TestStoreReadsNeverWrite(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return dir, reg.SumCounters("store_blocks_cut_total"), gets
+		return dir, reg.SumCounters("store_blocks_cut_total"), gets, reads
 	}
 
-	wantDir, wantCuts, _ := collect("none")
+	wantDir, wantCuts, _, _ := collect("none", false)
 	if wantCuts < 10 {
 		t.Fatalf("reference campaign cut %d blocks; it must cross many", wantCuts)
 	}
 	want := hashDir(t, wantDir)
-	for _, mode := range []string{"get-after-put", "concurrent"} {
-		dir, cuts, gets := collect(mode)
+	for _, arm := range []struct {
+		read       string
+		concurrent bool
+	}{
+		{"get", false}, {"get", true},
+		{"scan", false}, {"scan", true},
+		{"iterall", false}, {"iterall", true},
+		{"statsbytype", false}, {"statsbytype", true},
+		{"verify", false},
+	} {
+		mode := arm.read + " between batches"
+		if arm.concurrent {
+			mode = arm.read + " concurrent"
+		}
+		dir, cuts, gets, reads := collect(arm.read, arm.concurrent)
 		if got := hashDir(t, dir); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: directory differs from the read-free run:\n got %v\nwant %v", mode, got, want)
 		}
 		if cuts != wantCuts {
 			t.Errorf("%s: cut %d blocks, the read-free run cut %d", mode, cuts, wantCuts)
 		}
-		if len(gets) == 0 {
-			t.Fatalf("%s: no Get ran", mode)
+		if batches := (len(envs)+8)/9 - 1; reads < batches {
+			t.Fatalf("%s: %d reads ran, fewer than the %d batches they interleave with", mode, reads, batches)
+		}
+		if arm.read != "get" {
+			continue
 		}
 		re, err := store.Open(dir)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vtdynamics/internal/bufpool"
 	"vtdynamics/internal/report"
 )
 
@@ -17,6 +18,141 @@ func rawBlockFor(reports []*report.ScanReport) []byte {
 		raw = append(raw, '\n')
 	}
 	return raw
+}
+
+// forEachRow decodes every column and streams the rows in storage
+// order — the full-row v2 decode the tests hold Scan's pushdown loop
+// to. The scanRow passed to fn is reused between calls (its
+// strings are dict-owned, only the Res backing array is recycled), so
+// fn must copy what it keeps — rowToReport does. The block must have
+// been parsed with wantAllDicts.
+func (cb *colBlock) forEachRow(fn func(row *scanRow) error) error {
+	var (
+		shaC  = colCursor{buf: cb.segs[segSHA]}
+		timeC = colCursor{buf: cb.segs[segTime]}
+		ftC   = colCursor{buf: cb.segs[segFT]}
+		rankC = colCursor{buf: cb.segs[segRank]}
+		totC  = colCursor{buf: cb.segs[segTot]}
+		nresC = colCursor{buf: cb.segs[segNRes]}
+		resC  = colCursor{buf: cb.segs[segRes]}
+		row   scanRow
+		at    int64
+	)
+	vr, err := newVerdictReader(cb.segs[segVerdict])
+	if err != nil {
+		return err
+	}
+	for i := 0; i < cb.rows; i++ {
+		shaIdx, err := shaC.uvarint()
+		if err != nil {
+			return err
+		}
+		if shaIdx >= uint64(len(cb.sha)) {
+			return errColCorrupt
+		}
+		dt, err := timeC.varint()
+		if err != nil {
+			return err
+		}
+		at += dt
+		ftIdx, err := ftC.uvarint()
+		if err != nil {
+			return err
+		}
+		if ftIdx >= uint64(len(cb.ft)) {
+			return errColCorrupt
+		}
+		rank, err := rankC.varint()
+		if err != nil {
+			return err
+		}
+		tot, err := totC.varint()
+		if err != nil {
+			return err
+		}
+		nres, err := nresC.uvarint()
+		if err != nil {
+			return err
+		}
+		if nres > uint64(len(cb.segs[segRes])) {
+			return errColCorrupt
+		}
+		row.SHA = cb.sha[shaIdx]
+		row.FT = cb.ft[ftIdx]
+		row.At = at
+		row.Rank = int(rank)
+		row.Tot = int(tot)
+		row.Res = row.Res[:0]
+		if nres == 0 {
+			// Match json.Unmarshal's zero scanRow: an absent result
+			// array decodes as nil, and the v1 codec only ever writes
+			// "r":[] for zero results when the report had a non-nil
+			// empty slice — both re-encode identically, so nil is safe.
+			row.Res = nil
+		}
+		for j := uint64(0); j < nres; j++ {
+			engIdx, err := resC.uvarint()
+			if err != nil {
+				return err
+			}
+			if engIdx >= uint64(len(cb.eng)) {
+				return errColCorrupt
+			}
+			sigver, err := resC.varint()
+			if err != nil {
+				return err
+			}
+			labIdx, err := resC.uvarint()
+			if err != nil {
+				return err
+			}
+			if labIdx > uint64(len(cb.lab)) {
+				return errColCorrupt
+			}
+			v, err := vr.next()
+			if err != nil {
+				return err
+			}
+			rr := rowRes{E: cb.eng[engIdx], V: v, S: int(sigver)}
+			if labIdx > 0 {
+				rr.L = cb.lab[labIdx-1]
+			}
+			row.Res = append(row.Res, rr)
+		}
+		if err := fn(&row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeBlockRows is the reference full-row decode of one block in
+// storage order: v1 lines through the row codec, v2 through
+// forEachRow. Like forEachRow it reuses the row between calls.
+func decodeBlockRows(path string, bm blockMeta, fn func(row *scanRow)) error {
+	payload, err := readBlockPayloadAt(path, bm, formatMax)
+	if err != nil {
+		return err
+	}
+	defer bufpool.PutBlockBuf(payload)
+	if blockVer(bm) == FormatV1 {
+		var row scanRow
+		return forEachLine(payload, func(line []byte) error {
+			if err := decodeScanRow(line, &row); err != nil {
+				return err
+			}
+			fn(&row)
+			return nil
+		})
+	}
+	cb, err := parseColumnarBlock(payload, wantAllDicts)
+	if err != nil {
+		return err
+	}
+	return cb.forEachRow(func(row *scanRow) error {
+		fn(row)
+		return nil
+	})
 }
 
 // decodeV1Rows decodes a raw v1 block through the row codec — the

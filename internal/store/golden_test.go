@@ -113,8 +113,8 @@ func writeV1Store(t testing.TB, dir string) {
 		var out bytes.Buffer
 		for _, bm := range ix.snapshotBlocks() {
 			var payload []byte
-			if err := scanBlock(path, bm, formatMax, func(row scanRow) {
-				payload = append(appendScanRow(payload, rowToReport(row)), '\n')
+			if err := decodeBlockRows(path, bm, func(row *scanRow) {
+				payload = append(appendScanRow(payload, rowToReport(*row)), '\n')
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -329,14 +329,12 @@ func snapshotReads(t *testing.T, s *Store) (map[string]*report.History, map[stri
 		histories[sha] = h
 	}
 	iter := make(map[string][]int)
-	for _, month := range s.Months() {
-		err := s.IterReports(month, func(r *report.ScanReport) error {
-			iter[month] = append(iter[month], r.AVRank)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("IterReports(%s): %v", month, err)
-		}
+	err := s.IterAll(1, func(month string, r *report.ScanReport) error {
+		iter[month] = append(iter[month], r.AVRank)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("IterAll: %v", err)
 	}
 	return histories, iter, s.TotalStats()
 }
@@ -363,8 +361,11 @@ func TestGoldenPrePR2Compat(t *testing.T) {
 	if n, err := s.Verify(); err != nil || n != 24 {
 		t.Fatalf("Verify over the rebuilt indexes: %d, %v", n, err)
 	}
-	// The reads above flushed, which persisted the rebuilt sidecars —
+	// Reads write nothing; a Flush persists the rebuilt sidecars —
 	// exactly the ones an explicit Reindex writes.
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	checkSidecarsMatchReindex(t, s)
 
 	// The upgrade persists: a reopen trusts the new sidecars and reads
@@ -430,6 +431,9 @@ func TestGoldenV2Compat(t *testing.T) {
 	noIdxHist, _, _ := snapshotReads(t, s2)
 	if !reflect.DeepEqual(noIdxHist, goldenExpect()) {
 		t.Fatal("sidecar-less v2 read diverges from golden rows")
+	}
+	if err := s2.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	checkSidecarsEqualV2Fixture(t, dir)
 }

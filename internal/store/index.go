@@ -180,6 +180,15 @@ func (ix *partIndex) snapshotBlocks() []blockMeta {
 	return append([]blockMeta(nil), ix.blocks...)
 }
 
+// blocksBelow copies the first n entries of the block list (all of
+// them when it is shorter), with room for one more.
+func (ix *partIndex) blocksBelow(n int) []blockMeta {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	n = min(n, len(ix.blocks))
+	return append(make([]blockMeta, 0, n+1), ix.blocks[:n]...)
+}
+
 // snapshotPostings deep-copies the SHA→block-set posting list.
 func (ix *partIndex) snapshotPostings() map[string][]int {
 	ix.mu.RLock()
@@ -491,41 +500,6 @@ func indexPartition(path string, maxVer int) (ix *partIndex, goodEnd int64, torn
 		return nil
 	})
 	return ix, goodEnd, torn, err
-}
-
-// scanBlock decodes every row of one block, in storage order, through
-// fn, dispatching on the block's format version. The row passed to fn
-// is reused between calls (its strings are owned, only the Res backing
-// array is recycled), so fn must copy what it keeps — every caller
-// goes through rowToReport, which does.
-func scanBlock(path string, bm blockMeta, maxVer int, fn func(row scanRow)) error {
-	payload, err := readBlockPayloadAt(path, bm, maxVer)
-	if err != nil {
-		return err
-	}
-	defer bufpool.PutBlockBuf(payload)
-	if blockVer(bm) == FormatV1 {
-		var row scanRow
-		err = forEachLine(payload, func(line []byte) error {
-			if err := decodeScanRow(line, &row); err != nil {
-				return err
-			}
-			fn(row)
-			return nil
-		})
-	} else {
-		var cb *colBlock
-		if cb, err = parseColumnarBlock(payload, wantAllDicts); err == nil {
-			err = cb.forEachRow(func(row *scanRow) error {
-				fn(*row)
-				return nil
-			})
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-	}
-	return nil
 }
 
 // readBlockPayloadAt decompresses the member bm locates into a pooled

@@ -133,25 +133,18 @@ func (s *Store) rewriteMonth(month string, blocks []blockMeta, dst string) (*par
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	srcHash := sha256.New()
-	var innerErr error
 	lineBuf := bufpool.GetBuf()
 	defer func() { bufpool.PutBuf(lineBuf) }()
-	err = s.scanBlocks(s.partPath(month), blocks, func(row scanRow) {
-		if innerErr != nil {
-			return
-		}
+	err = s.scanBlocks(s.partPath(month), blocks, func(rv *RowView) error {
 		// Canonical re-encode: migration normalizes every row to the
 		// writer's own encoding, which for writer-produced partitions
 		// is the identity.
-		scan := rowToReport(row)
+		scan := rv.toReport()
 		lineBuf = appendScanRow(lineBuf[:0], scan)
 		srcHash.Write(lineBuf)
 		srcHash.Write([]byte{'\n'})
-		innerErr = w.writeRowLocked(encRow{sha: scan.SHA256, line: lineBuf, scan: scan})
+		return w.writeRowLocked(encRow{sha: scan.SHA256, line: lineBuf, scan: scan})
 	})
-	if err == nil {
-		err = innerErr
-	}
 	if err == nil {
 		err = w.finishLocked()
 	}
@@ -185,10 +178,11 @@ func (s *Store) canonicalSum(path string, blocks []blockMeta) ([]byte, error) {
 	h := sha256.New()
 	lineBuf := bufpool.GetBuf()
 	defer func() { bufpool.PutBuf(lineBuf) }()
-	err := s.scanBlocks(path, blocks, func(row scanRow) {
-		lineBuf = appendScanRow(lineBuf[:0], rowToReport(row))
+	err := s.scanBlocks(path, blocks, func(rv *RowView) error {
+		lineBuf = appendScanRow(lineBuf[:0], rv.toReport())
 		h.Write(lineBuf)
 		h.Write([]byte{'\n'})
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -197,10 +191,11 @@ func (s *Store) canonicalSum(path string, blocks []blockMeta) ([]byte, error) {
 }
 
 // scanBlocks streams the rows of a partition file's blocks, in order,
-// through fn.
-func (s *Store) scanBlocks(path string, blocks []blockMeta, fn func(row scanRow)) error {
-	for _, bm := range blocks {
-		if err := scanBlock(path, bm, s.maxFormat, fn); err != nil {
+// through fn, on Scan's own block decode with every column projected.
+func (s *Store) scanBlocks(path string, blocks []blockMeta, fn func(rv *RowView) error) error {
+	cq := compileQuery(Query{Cols: ColAll})
+	for seq, bm := range blocks {
+		if _, err := s.runScanJob(blockJob{path: path, seq: seq, bm: bm}, cq, rowFunc(fn)); err != nil {
 			return err
 		}
 	}

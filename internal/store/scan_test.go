@@ -102,8 +102,30 @@ func buildScanStoreV1(t testing.TB, envs []report.Envelope, opts ...Option) *Sto
 	return re
 }
 
-// rowsAgg collects every fed row as a canonical line — the
-// order-insensitive comparison target for the differential tests.
+// buildOpenScanStore writes envs into a fresh store and leaves its
+// writers open: some rows pending, and, with a small block size, some
+// cut blocks still queued for compression.
+func buildOpenScanStore(t testing.TB, envs []report.Envelope, opts ...Option) *Store {
+	t.Helper()
+	s, err := Open(t.TempDir(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, env := range envs {
+		if err := s.Put(env); err != nil {
+			t.Fatal(err)
+		}
+		if i%17 == 16 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// rowsAgg collects every fed row as a canonical line, in merge order —
+// the comparison target for the differential tests.
 type rowsAgg struct{ lines []string }
 
 type rowsPartial struct{ lines []string }
@@ -125,50 +147,59 @@ func (a *rowsAgg) Merge(p Partial) error {
 	return nil
 }
 
-// naiveScanLines is the reference implementation: IterAll every row,
-// apply the query predicates on the materialized report, render the
-// projected columns the same way rowsPartial does.
+// naiveScanLines is the reference implementation: decode every row of
+// every sealed block in full (decodeBlockRows, not the pushdown loop),
+// apply the query predicates on the decoded row, and render the
+// projected columns the same way rowsPartial does. The store must be
+// flushed: the reference reads no pending rows.
 func naiveScanLines(t testing.TB, s *Store, q Query) []string {
 	t.Helper()
+	s.wmu.Lock()
+	open := len(s.writers)
+	s.wmu.Unlock()
+	if open != 0 {
+		t.Fatalf("naive scan over %d open writers; flush first", open)
+	}
 	cq := compileQuery(q)
-	var mu chan struct{} // IterAll(1, ...) is sequential; no lock needed
-	_ = mu
 	var lines []string
-	err := s.IterAll(1, func(month string, r *report.ScanReport) error {
-		row := rowFromScan(r)
-		if !cq.matchScanRow(&row) {
-			return nil
-		}
-		var b strings.Builder
-		var sha, ft string
-		var at int64
-		var rank, tot int
-		if q.Cols&ColSHA != 0 {
-			sha = row.SHA
-		}
-		if q.Cols&ColTime != 0 {
-			at = row.At
-		}
-		if q.Cols&ColFT != 0 {
-			ft = row.FT
-		}
-		if q.Cols&ColRank != 0 {
-			rank = row.Rank
-		}
-		if q.Cols&ColTot != 0 {
-			tot = row.Tot
-		}
-		fmt.Fprintf(&b, "%s|%s|%d|%s|%d|%d", month, sha, at, ft, rank, tot)
-		if q.Cols&ColResults != 0 {
-			for _, rr := range row.Res {
-				fmt.Fprintf(&b, "|%s,%s,%d,%d", rr.E, rr.L, rr.S, rr.V)
+	for _, mi := range s.monthIndexes(nil) {
+		month := mi.month
+		for _, bm := range mi.ix.snapshotBlocks() {
+			err := decodeBlockRows(s.partPath(month), bm, func(row *scanRow) {
+				if !cq.matchScanRow(row) {
+					return
+				}
+				var b strings.Builder
+				var sha, ft string
+				var at int64
+				var rank, tot int
+				if q.Cols&ColSHA != 0 {
+					sha = row.SHA
+				}
+				if q.Cols&ColTime != 0 {
+					at = row.At
+				}
+				if q.Cols&ColFT != 0 {
+					ft = row.FT
+				}
+				if q.Cols&ColRank != 0 {
+					rank = row.Rank
+				}
+				if q.Cols&ColTot != 0 {
+					tot = row.Tot
+				}
+				fmt.Fprintf(&b, "%s|%s|%d|%s|%d|%d", month, sha, at, ft, rank, tot)
+				if q.Cols&ColResults != 0 {
+					for _, rr := range row.Res {
+						fmt.Fprintf(&b, "|%s,%s,%d,%d", rr.E, rr.L, rr.S, rr.V)
+					}
+				}
+				lines = append(lines, b.String())
+			})
+			if err != nil {
+				t.Fatalf("naive scan: %v", err)
 			}
 		}
-		lines = append(lines, b.String())
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("naive scan: %v", err)
 	}
 	sort.Strings(lines)
 	return lines
@@ -197,6 +228,66 @@ func checkScanAgainstNaive(t testing.TB, s *Store, q Query) ScanStats {
 			stats.PrunedTotal(), stats.Scanned, stats.Blocks, stats.Pruned)
 	}
 	return stats
+}
+
+// checkOpenEqualsFlushed runs q through every kernel at once over s
+// while its writers are open, then flushes and runs it again. Kernel
+// results, row order included, and the block accounting must agree:
+// the pending rows are the block a Flush cuts, at the position it
+// takes. Only CompressedBytes and ColumnsSkipped may differ, because
+// the in-memory block is uncompressed JSONL.
+func checkOpenEqualsFlushed(t testing.TB, s *Store, q Query) {
+	t.Helper()
+	run := func() (ScanStats, []any) {
+		var (
+			lines rowsAgg
+			count CountAgg
+			group GroupCountByType
+			eng   EngineAgg
+			span  FirstLastAgg
+			flips FlipCountAgg
+		)
+		stats, err := s.Scan(q, &MultiAgg{Aggs: []Agg{&lines, &count, &group, &eng, &span, &flips}})
+		if err != nil {
+			t.Fatalf("Scan(%+v): %v", q, err)
+		}
+		return stats, []any{lines.lines, count, group.Counts, eng.Engines, span, flips}
+	}
+	s.wmu.Lock()
+	open := len(s.writers)
+	s.wmu.Unlock()
+	if open == 0 {
+		t.Fatal("store has no open writer")
+	}
+	openStats, openRes := run()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	flushedStats, flushedRes := run()
+	for i := range openRes {
+		if !reflect.DeepEqual(openRes[i], flushedRes[i]) {
+			t.Fatalf("Scan(%+v) kernel %d: open writer gives %v, after Flush %v", q, i, openRes[i], flushedRes[i])
+		}
+	}
+	if openStats.Blocks != flushedStats.Blocks || openStats.Scanned != flushedStats.Scanned ||
+		openStats.Rows != flushedStats.Rows || !reflect.DeepEqual(openStats.Pruned, flushedStats.Pruned) {
+		t.Fatalf("Scan(%+v) accounting: open writer %+v, after Flush %+v", q, openStats, flushedStats)
+	}
+}
+
+// TestScanOpenWriterEqualsFlushed runs the query table over stores
+// with open writers: each must scan exactly as it does once flushed.
+func TestScanOpenWriterEqualsFlushed(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	envs := genScanEnvelopes(rng, 160, 24)
+	for _, q := range scanTestQueries() {
+		s := buildOpenScanStore(t, envs, WithBlockSize(1<<10))
+		checkOpenEqualsFlushed(t, s, q)
+		checkScanAgainstNaive(t, s, q)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func head(lines []string) []string {
@@ -402,8 +493,11 @@ func TestLegacySidecarUpgradedOnOpen(t *testing.T) {
 		t.Fatalf("Verify over upgraded indexes: %d, %v", n, err)
 	}
 
-	// The scans flushed; the persisted sidecars are the current
-	// fixture's, byte for byte, and a reopen trusts them.
+	// Scans write nothing; the sidecars a Flush persists are the
+	// current fixture's, byte for byte, and a reopen trusts them.
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	checkSidecarsEqualV2Fixture(t, dir)
 	if _, _, rebuilds := openCounting(t, dir); rebuilds != 0 {
 		t.Fatalf("upgraded sidecars not trusted on reopen: %d rebuilds", rebuilds)
@@ -495,19 +589,22 @@ func TestScanKernelAllocBudget(t *testing.T) {
 
 // FuzzScanPushdownDifferential drives random queries over random
 // stores in both block formats and demands Scan agree with the naive
-// IterAll filter row for row — the end-to-end contract of the whole
-// pushdown engine (pruning, projection, skipping, v1 row decode, and
-// indexes rebuilt at Open).
+// full-decode filter row for row — the end-to-end contract of the
+// whole pushdown engine (pruning, projection, skipping, v1 row decode,
+// and indexes rebuilt at Open). Its open-writer arm first demands that
+// a scan beside open writers equals the scan after a Flush.
 func FuzzScanPushdownDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(2))
 	f.Add(int64(2), uint8(1), int64(20), int64(55), uint8(1), uint8(2), uint8(1), true, uint8(3), uint8(1))
 	f.Add(int64(3), uint8(2), int64(-5), int64(200), uint8(9), uint8(9), uint8(9), false, uint8(9), uint8(4))
+	f.Add(int64(4), uint8(3), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(1))
+	f.Add(int64(5), uint8(3), int64(30), int64(70), uint8(2), uint8(1), uint8(0), true, uint8(2), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, format uint8, sinceDays, untilDays int64,
 		ftSel, engSel, labSel uint8, malOnly bool, shaSel, workers uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		envs := genScanEnvelopes(rng, 60, 12)
 		var s *Store
-		switch format % 3 {
+		switch format % 4 {
 		case 0:
 			s = buildScanStore(t, envs, WithBlockSize(1<<9))
 		case 1:
@@ -524,6 +621,8 @@ func FuzzScanPushdownDifferential(f *testing.F) {
 			if s, _, rebuilds = openCounting(t, s.dir); rebuilds == 0 {
 				t.Fatal("sidecar-less store opened without rebuilding an index")
 			}
+		case 3: // open writers: rows pending, blocks queued
+			s = buildOpenScanStore(t, envs, WithBlockSize(1<<9))
 		}
 		defer s.Close()
 
@@ -549,6 +648,9 @@ func FuzzScanPushdownDifferential(f *testing.F) {
 			}
 		}
 		q.MaliciousOnly = malOnly
+		if format%4 == 3 {
+			checkOpenEqualsFlushed(t, s, q)
+		}
 		checkScanAgainstNaive(t, s, q)
 	})
 }

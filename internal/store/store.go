@@ -39,15 +39,16 @@
 // work) happens outside every lock. PutBatch amortizes the partition
 // lock over a whole feed slice.
 //
-// Read path: Get plans the members its sample's postings name, like
-// every other pass, and appends the sample's rows still pending in an
-// open block, read from the writer's memory — no read ever writes a
-// partition. Decoded histories are served from an LRU cache with
+// Read path: every read is a view. Get, Scan and the passes over Scan
+// (IterAll, StatsByType, Verify) plan per-block jobs over one view per
+// month — its sealed blocks, then the rows still pending in an open
+// writer, copied from the writer's memory as one trailing in-memory
+// block — on one planner and one worker pool. No read cuts, seals or
+// flushes anything. Get plans only the blocks its sample's postings
+// name, and decoded histories are served from an LRU cache with
 // singleflight decode deduplication. Every caller gets a private
 // History and Reports slice over shared, immutable *ScanReport
-// elements (see Get). Full-store passes (Scan, IterAll, Verify) plan
-// per-block jobs from the indexes the same way, and all of them fan
-// their jobs across one worker pool.
+// elements (see Get).
 package store
 
 import (
@@ -560,11 +561,10 @@ func MonthKey(t time.Time) string { return t.UTC().Format("2006-01") }
 // metas, accounting) as of the last Sync that returned, so a resumed
 // campaign passes full verification.
 //
-// Sync does not publish. Rows stay readable through Get (which reads
-// pending rows from the writer's memory) and through Scan and IterAll
-// (which flush first), but the sealed blocks that replication lists
-// (ReplState, BlocksSince) gain them only when their block fills or at
-// the next Flush. Flush — which leaves the store open for further Puts
+// Sync does not publish. Rows stay readable through every read (which
+// reads pending rows from the writer's memory), but the sealed blocks
+// that replication lists (ReplState, BlocksSince) gain them only when
+// their block fills or at the next Flush. Flush — which leaves the store open for further Puts
 // — is therefore the call that makes everything put so far visible to
 // a replication Leader serving this store.
 //

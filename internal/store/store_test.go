@@ -240,38 +240,6 @@ func TestReopenRestoresIndexAndStats(t *testing.T) {
 	}
 }
 
-func TestIterReports(t *testing.T) {
-	s := openStore(t)
-	for i := 0; i < 5; i++ {
-		if err := s.Put(envelope(fmt.Sprintf("i%d", i), t0.Add(time.Duration(i)*time.Minute), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var seen int
-	err := s.IterReports("2021-05", func(r *report.ScanReport) error {
-		seen++
-		return r.Validate()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 5 {
-		t.Fatalf("iterated %d reports", seen)
-	}
-}
-
-func TestIterReportsErrorPropagates(t *testing.T) {
-	s := openStore(t)
-	if err := s.Put(envelope("e", t0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	wantErr := fmt.Errorf("stop")
-	err := s.IterReports("2021-05", func(r *report.ScanReport) error { return wantErr })
-	if err == nil {
-		t.Fatal("callback error not propagated")
-	}
-}
-
 func TestMonthKey(t *testing.T) {
 	if got := MonthKey(time.Date(2022, 6, 30, 23, 59, 0, 0, time.UTC)); got != "2022-06" {
 		t.Fatalf("MonthKey = %s", got)
@@ -454,7 +422,7 @@ func TestGetWaitsForCompressionOffTheWriterLock(t *testing.T) {
 	waiting := make(chan struct{})
 	var s *Store
 	s, err := Open(t.TempDir(), WithCacheSize(0), WithBlockSize(1), withFoldStep(func(step string) error {
-		if step == "get-wait" {
+		if step == "view-wait" {
 			close(waiting)
 		}
 		return nil

@@ -210,7 +210,7 @@ func (w *partWriter) commitBlockLocked(pb *pendingBlock) error {
 	w.idx.appendBlock(bm, pb.shas)
 	// appendBlock folds the posting counts into the index without
 	// retaining the map, so the block's sha map recycles here — the
-	// committed block no longer sits in the queue pendingFor walks.
+	// committed block no longer sits in the queue a view walks.
 	bufpool.PutCountMap(pb.shas)
 	pb.shas = nil
 	return nil
