@@ -21,7 +21,8 @@
 // the recorded p50/p90/p99/p99.9 include every queueing delay a
 // stalled server causes (no coordinated omission). -storms overlays a
 // rescan storm, an engine-outage wave, and a feed-lag spike; -handicap
-// multiplies every recorded latency to prove the soak gate trips.
+// multiplies every latency the record states to prove the soak gate
+// trips.
 // `compare` diffs two records or two directories of records and exits
 // 1 when any scenario's median slowed beyond threshold% plus the
 // noisier run's CV — the CI perf gate; records carrying tail columns

@@ -37,7 +37,7 @@ func parseSoakFlags(args []string, stderr io.Writer) (*soakOptions, error) {
 		feedwindow = fs.Duration("feedwindow", 2*time.Second, "steady-state feed query span")
 		feedlimit  = fs.Int("feedlimit", 200, "page cap per feed response in envelopes (paged catch-up reads)")
 		out        = fs.String("out", ".", "directory receiving BENCH_soak.json")
-		handicap   = fs.Float64("handicap", 1, "multiply every recorded latency (gate self-test; >= 1)")
+		handicap   = fs.Float64("handicap", 1, "multiply every latency the record states (gate self-test; >= 1)")
 		histout    = fs.String("histout", "", "write the per-op latency histograms as JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {

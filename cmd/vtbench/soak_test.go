@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vtdynamics/internal/benchkit"
 )
 
 func TestParseSoakFlags(t *testing.T) {
@@ -72,8 +74,8 @@ func TestParseSoakFlags(t *testing.T) {
 }
 
 // TestSoakCompareEndToEnd is the CLI-level gate self-test: a tiny
-// clean soak records a baseline, a handicapped rerun of the same
-// workload must exit 1 from compare, and the clean rerun compares ok.
+// clean soak records a baseline, its 25x handicapped record must exit
+// 1 from compare, and the baseline compares ok against itself.
 func TestSoakCompareEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds-scale end-to-end soak")
@@ -109,18 +111,22 @@ func TestSoakCompareEndToEnd(t *testing.T) {
 		t.Fatalf("histout is empty: %+v", hist)
 	}
 
-	out.Reset()
-	errOut.Reset()
-	args = append(append([]string{}, common...), "-out", slowDir, "-handicap", "25")
-	if code := run(args, &out, &errOut); code != 0 {
-		t.Fatalf("handicapped soak exited %d: %s", code, errOut.String())
+	// Handicap vs clean baseline: the gate must trip. The handicapped
+	// record is the baseline's own measurement, handicapped as `soak
+	// -handicap 25` handicaps its run (benchkit's
+	// TestSoakHandicapTripsP99Gate pins that), so the ratio compare sees
+	// is 25 however loaded the machine is.
+	base, err := benchkit.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Handicap vs clean baseline: the gate must trip.
+	slowPath, err := base.Handicapped(25).WriteFile(slowDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out.Reset()
 	errOut.Reset()
-	code := run([]string{"compare", basePath, filepath.Join(slowDir, "BENCH_soak.json"),
-		"-threshold", "400"}, &out, &errOut)
+	code := run([]string{"compare", basePath, slowPath, "-threshold", "400"}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("compare vs 25x handicap exited %d, want 1\nstdout: %s\nstderr: %s",
 			code, out.String(), errOut.String())

@@ -67,9 +67,9 @@ type RunConfig struct {
 	Profile Profile
 	Seed    int64
 	// Handicap artificially inflates every measured repetition by the
-	// given factor (0 or 1 disables). It exists to validate the
-	// regression gate end to end: a handicapped run against a clean
-	// baseline must fail `vtbench compare`.
+	// given factor (0 or 1 disables; Result.Handicapped). It exists to
+	// validate the regression gate end to end: a handicapped record
+	// against a clean one must fail `vtbench compare`.
 	Handicap float64
 	// WorkDir is the scratch directory for fixtures; the caller owns
 	// its lifetime. Empty uses a fresh temp directory removed on exit.
@@ -128,11 +128,7 @@ func Run(sc Scenario, cfg RunConfig) (*Result, error) {
 			return nil, fmt.Errorf("benchkit: %s: rep %d: %w", sc.Name, i, err)
 		}
 		runtime.ReadMemStats(&after)
-		ns := r.NS
-		if cfg.Handicap > 1 {
-			ns = int64(float64(ns) * cfg.Handicap)
-		}
-		res.RepNS = append(res.RepNS, ns)
+		res.RepNS = append(res.RepNS, r.NS)
 		res.RepOps = append(res.RepOps, r.Ops)
 		res.RepAllocs = append(res.RepAllocs, int64(after.Mallocs-before.Mallocs))
 		res.RepBytes = append(res.RepBytes, int64(after.TotalAlloc-before.TotalAlloc))
@@ -141,5 +137,8 @@ func Run(sc Scenario, cfg RunConfig) (*Result, error) {
 	res.Stats = computeStats(res.RepNS, res.RepOps)
 	res.Stats.AllocsPerOp = perOp(res.RepAllocs, res.RepOps)
 	res.Stats.BytesPerOp = perOp(res.RepBytes, res.RepOps)
+	if cfg.Handicap > 1 {
+		res = res.Handicapped(cfg.Handicap)
+	}
 	return res, nil
 }

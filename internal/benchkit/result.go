@@ -99,6 +99,27 @@ func ReadFile(path string) (*Result, error) {
 	return &r, nil
 }
 
+// Handicapped returns a copy of r as if every time it measured had
+// taken f times longer. It is the regression gate's self-test: Run and
+// RunSoak apply it to their own measurement under a Handicap, and a
+// record compared against its own handicapped copy sees a ratio of
+// exactly f, whatever load the machine was under.
+func (r *Result) Handicapped(f float64) *Result {
+	h := *r
+	h.RepNS = make([]int64, len(r.RepNS))
+	for i, ns := range r.RepNS {
+		h.RepNS[i] = int64(float64(ns) * f)
+	}
+	st := &h.Stats
+	for _, v := range []*float64{&st.MedianNS, &st.P90NS, &st.P99NS, &st.P999NS, &st.MeanNS, &st.StddevNS} {
+		*v *= f
+	}
+	st.MinNS = int64(float64(st.MinNS) * f)
+	st.MaxNS = int64(float64(st.MaxNS) * f)
+	st.OpsPerSec /= f
+	return &h
+}
+
 // Validate checks the structural invariants a record must satisfy
 // before it can gate anything.
 func (r *Result) Validate() error {

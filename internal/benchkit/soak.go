@@ -48,9 +48,10 @@ type SoakOptions struct {
 	// response grows with the backlog — cost quadratic in rate — and
 	// the feed-lag phase saturates any box.
 	FeedLimit int
-	// Handicap multiplies every recorded latency (0 or 1 disables) —
-	// the gate self-test: a handicapped run against a clean baseline
-	// must fail the p50/p99 comparison.
+	// Handicap multiplies every latency the record states (0 or 1
+	// disables; Result.Handicapped) — the gate self-test: a handicapped
+	// record against a clean one must fail the p50/p99 comparison. The
+	// returned loadgen.Report keeps the measured latencies.
 	Handicap float64
 }
 
@@ -198,7 +199,6 @@ func RunSoak(ctx context.Context, opts SoakOptions) (*Result, *loadgen.Report, e
 		Samples:      opts.Samples,
 		FeedWindow:   opts.FeedWindow,
 		Metrics:      reg,
-		LatencyScale: opts.Handicap,
 	}
 	if opts.Storms {
 		cfg.Phases = soakPhases(svc, opts.Seed)
@@ -260,6 +260,9 @@ func RunSoak(ctx context.Context, opts SoakOptions) (*Result, *loadgen.Report, e
 			OpsPerSec: rep.AchievedRate,
 		},
 		Obs: reg.Snapshot(),
+	}
+	if opts.Handicap > 1 {
+		res = res.Handicapped(opts.Handicap)
 	}
 	return res, rep, nil
 }

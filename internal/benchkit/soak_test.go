@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 )
@@ -70,8 +71,9 @@ func TestRunSoakProducesValidRecord(t *testing.T) {
 }
 
 // TestSoakHandicapTripsP99Gate is the CI gate's self-test at package
-// level: a latency-handicapped soak against a clean baseline of the
-// same workload must fail the comparison on its tail.
+// level: a handicapped soak states its own measured latencies times
+// the handicap, and a record compared against its handicapped copy
+// fails the comparison on its median and its tail.
 func TestSoakHandicapTripsP99Gate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds-scale end-to-end soak")
@@ -85,17 +87,25 @@ func TestSoakHandicapTripsP99Gate(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Handicap = 25
-	slow, _, err := RunSoak(context.Background(), opts)
+	slow, rep, err := RunSoak(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		name          string
+		got, measured float64
+	}{{"p50", slow.Stats.MedianNS, rep.Overall.P50}, {"p99", slow.Stats.P99NS, rep.Overall.P99}} {
+		if want := 25 * q.measured * 1e9; math.Abs(q.got-want) > 1e-9*want {
+			t.Fatalf("handicapped %s = %v ns, want 25x the measured %v s", q.name, q.got, q.measured)
+		}
 	}
 	// 400% threshold: generous enough for run-to-run noise on a busy
 	// machine, hopeless against a 25x handicap.
-	c, err := Compare(baseline, slow, 400)
+	c, err := Compare(baseline, baseline.Handicapped(25), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Regressed && !c.P99Regressed {
+	if !c.Regressed || !c.P99Regressed {
 		t.Fatalf("25x latency handicap slipped through the gate: %+v", c)
 	}
 	if c.OldP99 <= 0 || c.NewP99 <= 0 {

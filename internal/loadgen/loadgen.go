@@ -195,10 +195,6 @@ type Config struct {
 	// registry (never the process default — soak runs must not bleed
 	// into unrelated snapshots).
 	Metrics *obs.Registry
-	// LatencyScale multiplies every recorded latency (0 or 1
-	// disables). It is the soak gate's self-test injector: a scaled
-	// run against a clean baseline must trip the p50/p99 comparison.
-	LatencyScale float64
 }
 
 // LatencyBuckets are the request-latency histogram bounds: 100µs to
@@ -486,11 +482,6 @@ func Run(ctx context.Context, cfg Config, target Target) (*Report, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	scale := cfg.LatencyScale
-	if scale <= 0 {
-		scale = 1
-	}
-
 	ops := OpNames()
 	hists := make([]*obs.Histogram, numKinds)
 	okCnt := make([]*obs.Counter, numKinds)
@@ -577,7 +568,7 @@ func Run(ctx context.Context, cfg Config, target Target) (*Report, error) {
 				inflight.Add(1)
 				err := target.Do(ctx, &req)
 				inflight.Add(-1)
-				lat := time.Since(sched).Seconds() * scale
+				lat := time.Since(sched).Seconds()
 				hists[req.Kind].Observe(lat)
 				maxes[req.Kind].update(lat)
 				completed.Add(1)

@@ -295,32 +295,6 @@ func TestPhaseHooks(t *testing.T) {
 	}
 }
 
-// TestLatencyScale checks the handicap injector: scaling latencies by
-// a large factor must move the recorded quantiles by orders of
-// magnitude, since the soak CI gate's self-test depends on it.
-func TestLatencyScale(t *testing.T) {
-	cfg := testConfig()
-	cfg.Rate = 50000
-	cfg.Arrivals = 500
-	cfg.Clients = 16
-	instant := TargetFunc(func(context.Context, *Request) error { return nil })
-	clean, err := Run(context.Background(), cfg, instant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LatencyScale = 1e6
-	scaled, err := Run(context.Background(), cfg, instant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaled.Overall.P50 < 1000*clean.Overall.P50 {
-		t.Fatalf("scaled P50 %v vs clean %v: LatencyScale had no effect", scaled.Overall.P50, clean.Overall.P50)
-	}
-	if scaled.Overall.P50 < 0.001 {
-		t.Fatalf("scaled P50 = %v, want >= 1ms after a 1e6x scale of microsecond latencies", scaled.Overall.P50)
-	}
-}
-
 // TestRunCancellation checks that a cancelled context aborts the run
 // with an error instead of a partial report.
 func TestRunCancellation(t *testing.T) {

@@ -33,6 +33,12 @@
 // interned through internal/report, so every block in a scan shares
 // one string per distinct engine/label/file-type.
 //
+// One row loop reads it: scanColPushdown (scanpush.go), behind Scan and
+// Get alike. This file holds the layout, the cursor and the verdict
+// reader that loop shares, and parseColumnarBlock, the whole-block
+// parse analyzePayload summarises a block with (index rebuilds,
+// Verify's index check).
+//
 // FuzzColumnarRowDifferential pins the codec against the v1 row
 // codec: encode→decode→re-encode to v1 lines must be the identity.
 // FuzzDirectColumnarDifferential pins the builder byte-for-byte against
@@ -138,7 +144,7 @@ func (c *colCursor) varint() (int64, error) {
 }
 
 func (c *colCursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.buf) {
+	if n < 0 || n > len(c.buf)-c.off { // c.off+n could overflow
 		return nil, errColCorrupt
 	}
 	b := c.buf[c.off : c.off+n]
@@ -146,55 +152,36 @@ func (c *colCursor) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// skipDict advances past one dictionary without materializing it.
-func (c *colCursor) skipDict() error {
+// skipDict advances past one dictionary without materializing it,
+// returning its entry count.
+func (c *colCursor) skipDict() (uint64, error) {
 	n, err := c.uvarint()
 	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		l, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if _, err := c.bytes(int(l)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readDict materializes one dictionary. intern routes entries through
-// the shared vocabulary table (engines, labels, file types); sha
-// dictionaries stay plain copies — sample hashes are an unbounded
-// vocabulary that must not crowd the intern table.
-func (c *colCursor) readDict(intern bool) ([]string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	// A count that cannot fit in the remaining bytes (every entry
 	// takes at least one byte) is corruption, not a huge dictionary.
 	if n > uint64(len(c.buf)-c.off) {
-		return nil, errColCorrupt
+		return 0, errColCorrupt
 	}
-	vals := make([]string, n)
-	for i := range vals {
+	for i := uint64(0); i < n; i++ {
 		l, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		b, err := c.bytes(int(l))
-		if err != nil {
-			return nil, err
-		}
-		if intern {
-			vals[i] = report.InternBytes(b) // table hits allocate nothing
-		} else {
-			vals[i] = string(b)
+		if _, err := c.bytes(int(l)); err != nil {
+			return 0, err
 		}
 	}
-	return vals, nil
+	return n, nil
+}
+
+// readDict materializes one dictionary, interned or not as
+// scanDict.decode says.
+func (c *colCursor) readDict(intern bool) ([]string, error) {
+	var d scanDict
+	_, _, err := d.walk(c, nil, true, false, intern)
+	return d.vals, err
 }
 
 // colBlock is a parsed v2 payload: dictionaries plus the raw bytes of
@@ -255,7 +242,7 @@ func parseColumnarBlock(payload []byte, want colWant) (*colBlock, error) {
 			if *d.out, err = c.readDict(d.intern); err != nil {
 				return nil, err
 			}
-		} else if err := c.skipDict(); err != nil {
+		} else if _, err := c.skipDict(); err != nil {
 			return nil, err
 		}
 	}
@@ -332,246 +319,4 @@ func (c *colCursor) skipVarints(k int) error {
 		}
 	}
 	return nil
-}
-
-// lazyDict defers dictionary decoding: the constructor walks the
-// entry region once, recording each entry's offset, and entry()
-// decodes and interns only the entries a caller references — a Get
-// touching 2 of a block's 200 labels pays string work for 2, not 200.
-// The offset table keeps entry() O(1); an O(idx) rescan per lookup is
-// measurably slower on blocks with large label vocabularies.
-type lazyDict struct {
-	data []byte  // the length-prefixed entries, sans count
-	offs []int32 // start of each entry within data
-}
-
-// readLazyDict advances past one dictionary, validating entry bounds
-// and indexing entry offsets.
-func (c *colCursor) readLazyDict() (lazyDict, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return lazyDict{}, err
-	}
-	if n > uint64(len(c.buf)-c.off) {
-		return lazyDict{}, errColCorrupt
-	}
-	start := c.off
-	offs := make([]int32, n)
-	for i := range offs {
-		offs[i] = int32(c.off - start)
-		l, err := c.uvarint()
-		if err != nil {
-			return lazyDict{}, err
-		}
-		if _, err := c.bytes(int(l)); err != nil {
-			return lazyDict{}, err
-		}
-	}
-	return lazyDict{data: c.buf[start:c.off], offs: offs}, nil
-}
-
-func (d *lazyDict) size() uint64 { return uint64(len(d.offs)) }
-
-func (d *lazyDict) entry(idx uint64) (string, error) {
-	if idx >= uint64(len(d.offs)) {
-		return "", errColCorrupt
-	}
-	c := colCursor{buf: d.data, off: int(d.offs[idx])}
-	l, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := c.bytes(int(l))
-	if err != nil {
-		return "", err
-	}
-	return report.InternBytes(b), nil
-}
-
-// columnarRowsFor decodes only the rows belonging to sha. The sha
-// dictionary is scanned raw — a block without the sample costs one
-// allocation-free byte scan and nothing else — and when the sample is
-// present, non-matching rows are skipped varint-wise and dictionaries
-// decode lazily, so a Get pays full decode cost only for its own rows.
-func columnarRowsFor(payload []byte, sha string) ([]*report.ScanReport, error) {
-	if sniffVersion(payload) != FormatV2 {
-		return nil, errColCorrupt
-	}
-	c := colCursor{buf: payload, off: len(colMagic) + 1}
-	rowsU, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	rows := int(rowsU)
-	if _, err := c.uvarint(); err != nil { // rawBytes: unused here
-		return nil, err
-	}
-	// sha dictionary: locate the target without materializing entries.
-	nsha, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nsha > uint64(len(c.buf)-c.off) {
-		return nil, errColCorrupt
-	}
-	target, found := uint64(0), false
-	for i := uint64(0); i < nsha; i++ {
-		l, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.bytes(int(l))
-		if err != nil {
-			return nil, err
-		}
-		if !found && string(b) == sha { // comparison only — no alloc
-			target, found = i, true
-		}
-	}
-	if !found {
-		return nil, nil
-	}
-	ftD, err := c.readLazyDict()
-	if err != nil {
-		return nil, err
-	}
-	engD, err := c.readLazyDict()
-	if err != nil {
-		return nil, err
-	}
-	labD, err := c.readLazyDict()
-	if err != nil {
-		return nil, err
-	}
-	var segs [numColSegs][]byte
-	for i := range segs {
-		l, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if segs[i], err = c.bytes(int(l)); err != nil {
-			return nil, err
-		}
-	}
-	if c.off != len(payload) {
-		return nil, errColCorrupt
-	}
-
-	var (
-		shaC  = colCursor{buf: segs[segSHA]}
-		timeC = colCursor{buf: segs[segTime]}
-		ftC   = colCursor{buf: segs[segFT]}
-		rankC = colCursor{buf: segs[segRank]}
-		totC  = colCursor{buf: segs[segTot]}
-		nresC = colCursor{buf: segs[segNRes]}
-		resC  = colCursor{buf: segs[segRes]}
-		out   []*report.ScanReport
-		at    int64
-	)
-	vr, err := newVerdictReader(segs[segVerdict])
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < rows; i++ {
-		shaIdx, err := shaC.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		dt, err := timeC.varint()
-		if err != nil {
-			return nil, err
-		}
-		at += dt
-		nres, err := nresC.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nres > uint64(len(segs[segRes])) {
-			return nil, errColCorrupt
-		}
-		if shaIdx != target {
-			// Skip: advance every per-row cursor without decoding.
-			if err := ftC.skipVarints(1); err != nil {
-				return nil, err
-			}
-			if err := rankC.skipVarints(1); err != nil {
-				return nil, err
-			}
-			if err := totC.skipVarints(1); err != nil {
-				return nil, err
-			}
-			if err := resC.skipVarints(3 * int(nres)); err != nil {
-				return nil, err
-			}
-			if vr.packed {
-				vr.n += int(nres)
-			} else if err := vr.c.skipVarints(int(nres)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		ftIdx, err := ftC.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ft, err := ftD.entry(ftIdx)
-		if err != nil {
-			return nil, err
-		}
-		rank, err := rankC.varint()
-		if err != nil {
-			return nil, err
-		}
-		tot, err := totC.varint()
-		if err != nil {
-			return nil, err
-		}
-		r := &report.ScanReport{
-			SHA256:       sha,
-			FileType:     ft,
-			AnalysisDate: fromUnix(at),
-			AVRank:       int(rank),
-			EnginesTotal: int(tot),
-			// Non-nil even when empty, matching rowToReport exactly.
-			Results: make([]report.EngineResult, 0, nres),
-		}
-		for j := uint64(0); j < nres; j++ {
-			engIdx, err := resC.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			eng, err := engD.entry(engIdx)
-			if err != nil {
-				return nil, err
-			}
-			sigver, err := resC.varint()
-			if err != nil {
-				return nil, err
-			}
-			labIdx, err := resC.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if labIdx > labD.size() {
-				return nil, errColCorrupt
-			}
-			v, err := vr.next()
-			if err != nil {
-				return nil, err
-			}
-			er := report.EngineResult{
-				Engine:           eng,
-				Verdict:          report.Verdict(v),
-				SignatureVersion: int(sigver),
-			}
-			if labIdx > 0 {
-				if er.Label, err = labD.entry(labIdx - 1); err != nil {
-					return nil, err
-				}
-			}
-			r.Results = append(r.Results, er)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

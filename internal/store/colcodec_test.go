@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -309,33 +311,6 @@ func TestColumnarVerdictPacking(t *testing.T) {
 	}
 }
 
-// TestColumnarRowsFor pins the sha pre-filter behind Get: only the
-// requested sample's rows come back, in storage order, and a block
-// whose dictionary lacks the sample returns nil without row decoding.
-func TestColumnarRowsFor(t *testing.T) {
-	raw := rawBlockFor(colTestReports())
-	payload, err := appendColumnarBlock(nil, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := columnarRowsFor(payload, "aaa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*report.ScanReport
-	for _, r := range decodeV1Rows(t, raw) {
-		if r.SHA256 == "aaa" {
-			want = append(want, r)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rowsFor(aaa):\n got %+v\nwant %+v", got, want)
-	}
-	if miss, err := columnarRowsFor(payload, "zzz"); err != nil || miss != nil {
-		t.Fatalf("rowsFor(absent) = %v, %v; want nil, nil", miss, err)
-	}
-}
-
 // TestColumnarRejectsGarbage: the parser must reject v1 payloads,
 // wrong versions, and every truncation of a valid payload with an
 // error — never panic, never fabricate rows.
@@ -361,10 +336,29 @@ func TestColumnarRejectsGarbage(t *testing.T) {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(payload))
 		}
 	}
+	// The row loop, with and without a SHA predicate on a sample the
+	// block holds, fails every truncation too.
+	for _, q := range []Query{{Cols: ColAll}, {SHAs: []string{"aaa"}, Cols: ColAll}} {
+		cq := compileQuery(q)
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := scanColPushdown(payload[:cut], cq, "m", rowFunc(func(*RowView) error { return nil })); err == nil {
+				t.Fatalf("%+v: truncation at %d/%d scanned successfully", q, cut, len(payload))
+			}
+		}
+	}
 	// Trailing garbage is corruption too: segments must tile the
 	// payload exactly.
 	if _, err := parseColumnarBlock(append(payload, 0xAB), wantAllDicts); err == nil {
 		t.Fatal("parsed a payload with trailing garbage")
+	}
+	// An entry length near MaxInt64 must be corruption, not an
+	// overflowed bounds check and a slice panic.
+	huge := binary.AppendUvarint([]byte(colMagic+"\x02\x01\x00\x01"), math.MaxInt64) // 1 row, 1 sha entry
+	if _, err := parseColumnarBlock(huge, wantAllDicts); err == nil {
+		t.Fatal("parsed a dictionary entry longer than the payload")
+	}
+	if _, err := scanColPushdown(huge, compileQuery(Query{Cols: ColAll}), "m", rowFunc(func(*RowView) error { return nil })); err == nil {
+		t.Fatal("scanned a dictionary entry longer than the payload")
 	}
 }
 

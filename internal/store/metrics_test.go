@@ -51,3 +51,32 @@ func TestStoreMetricsExposition(t *testing.T) {
 		t.Errorf("compress histogram count %d, cut %d", h.Snapshot().Count, cut)
 	}
 }
+
+// TestGetMovesNoScanCounter: Get runs its blocks on Scan's execute and
+// merge but not Scan's accounting, so the store_scan_* series count
+// Scan calls only.
+func TestGetMovesNoScanCounter(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := Open(t.TempDir(), WithMetrics(reg), WithBlockSize(1<<10), WithCacheSize(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 64; i++ { // sealed blocks, and rows still pending
+		if err := s.Put(envelope("gms", t0.Add(time.Duration(i)*time.Minute), i%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, err := s.Get("gms"); err != nil || len(h.Reports) != 64 {
+		t.Fatalf("Get = %v, %v; want 64 reports", h, err)
+	}
+	if reg.Counter("store_block_decodes_total").Value() == 0 {
+		t.Fatal("the Get decoded no sealed block; the check is vacuous")
+	}
+	for _, name := range []string{"store_scan_calls_total", "store_scan_blocks_total",
+		"store_scan_blocks_scanned_total", "store_scan_rows_total", "store_columns_skipped_total"} {
+		if v := reg.Counter(name).Value(); v != 0 {
+			t.Errorf("%s = %d after a Get, want 0", name, v)
+		}
+	}
+}

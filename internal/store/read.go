@@ -73,28 +73,17 @@ func (s *Store) getUncached(sha string) (*report.History, error) {
 	}
 	// Pending rows are no block decode, and need no worker of their own.
 	s.m.blockDecodes.Add(int64(sealed))
-	perJob := make([][]*report.ScanReport, len(jobs))
-	if err := runJobs(min(max(sealed, 1), runtime.GOMAXPROCS(0)), len(jobs), func(i int) error {
-		j := &jobs[i]
-		payload, err := j.payload(s.maxFormat)
-		if err != nil {
-			return err
-		}
-		defer j.release(payload)
-		if perJob[i], err = rowsFor(payload, blockVer(j.bm), sha); err != nil {
-			return fmt.Errorf("store: %s: block @%d: %w", j.path, j.bm.Offset, err)
-		}
-		return nil
-	}); err != nil {
+	// The blocks run through Scan's execute and merge, not its
+	// accounting: a Get moves no store_scan_* counter.
+	agg := historyAgg{sha: sha}
+	cq := compileQuery(Query{SHAs: []string{sha}, Cols: ColAll &^ ColSHA})
+	if _, err := s.runScan(jobs, cq, min(max(sealed, 1), runtime.GOMAXPROCS(0)), &agg); err != nil {
 		return nil, err
 	}
 
 	// Storage order: months ascending, blocks in file order, a month's
 	// pending rows last — the order a cut would have given them.
-	h := &report.History{Meta: meta}
-	for _, rows := range perJob {
-		h.Reports = append(h.Reports, rows...)
-	}
+	h := &report.History{Meta: meta, Reports: agg.reports}
 	// Stable sort: reports with equal timestamps keep their storage
 	// order, so repeated Gets — and Gets against stores built at
 	// different worker counts, which are byte-identical — always return
@@ -103,6 +92,30 @@ func (s *Store) getUncached(sha string) (*report.History, error) {
 		return h.Reports[i].AnalysisDate.Before(h.Reports[j].AnalysisDate)
 	})
 	return h, nil
+}
+
+// historyAgg is Get's kernel: each job's rows become reports, merged
+// in job order. The query leaves the SHA unprojected, the one value
+// every row shares, so the kernel fills it in.
+type historyAgg struct {
+	sha     string
+	reports []*report.ScanReport
+}
+
+type historyPartial historyAgg
+
+func (a *historyAgg) NewPartial() Partial { return &historyPartial{sha: a.sha} }
+
+func (a *historyAgg) Merge(p Partial) error {
+	a.reports = append(a.reports, p.(*historyPartial).reports...)
+	return nil
+}
+
+func (p *historyPartial) Row(rv *RowView) error {
+	r := rv.toReport()
+	r.SHA256 = p.sha
+	p.reports = append(p.reports, r)
+	return nil
 }
 
 // monthView is one month as a read sees it: the sealed blocks below
@@ -229,53 +242,6 @@ func (v *monthView) postingSeqsFor(shas []string) map[int]bool {
 		seqs[v.horizon] = true
 	}
 	return seqs
-}
-
-// rowsFor decodes sha's rows out of one block payload in storage order:
-// v1 lines through the line iterator, fully decoding only the rows the
-// rowSHA peek does not rule out; v2 through columnarRowsFor.
-func rowsFor(payload []byte, ver int, sha string) ([]*report.ScanReport, error) {
-	if ver != FormatV1 {
-		return columnarRowsFor(payload, sha)
-	}
-	var out []*report.ScanReport
-	var row scanRow
-	err := forEachLine(payload, func(line []byte) error {
-		// A block holds many samples; skip full decodes for other
-		// samples' rows by peeking at the leading "s" key (always first
-		// in canonical encoder output).
-		if got, ok := rowSHA(line); ok && string(got) != sha {
-			return nil
-		}
-		if err := decodeScanRow(line, &row); err != nil {
-			return err
-		}
-		if row.SHA == sha {
-			out = append(out, rowToReport(row))
-		}
-		return nil
-	})
-	return out, err
-}
-
-func rowToReport(row scanRow) *report.ScanReport {
-	r := &report.ScanReport{
-		SHA256:       row.SHA,
-		FileType:     row.FT,
-		AnalysisDate: fromUnix(row.At),
-		AVRank:       row.Rank,
-		EnginesTotal: row.Tot,
-		Results:      make([]report.EngineResult, len(row.Res)),
-	}
-	for i, rr := range row.Res {
-		r.Results[i] = report.EngineResult{
-			Engine:           rr.E,
-			Verdict:          report.Verdict(rr.V),
-			SignatureVersion: rr.S,
-			Label:            rr.L,
-		}
-	}
-	return r
 }
 
 // blockJob is one block of one month — the unit every pass (Get, Scan,

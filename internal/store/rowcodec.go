@@ -309,6 +309,26 @@ func rowFromScan(scan *report.ScanReport) scanRow {
 	return row
 }
 
+func rowToReport(row scanRow) *report.ScanReport {
+	r := &report.ScanReport{
+		SHA256:       row.SHA,
+		FileType:     row.FT,
+		AnalysisDate: fromUnix(row.At),
+		AVRank:       row.Rank,
+		EnginesTotal: row.Tot,
+		Results:      make([]report.EngineResult, len(row.Res)),
+	}
+	for i, rr := range row.Res {
+		r.Results[i] = report.EngineResult{
+			Engine:           rr.E,
+			Verdict:          report.Verdict(rr.V),
+			SignatureVersion: rr.S,
+			Label:            rr.L,
+		}
+	}
+	return r
+}
+
 // metaRow is the compact metadata encoding.
 type metaRow struct {
 	SHA   string `json:"s"`

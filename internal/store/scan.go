@@ -2,7 +2,10 @@
 //
 // Scan is the store's whole-dataset query path — the engine behind
 // IterAll, StatsByType, Verify's row pass, time-bounded vtquery reads,
-// and the experiments' store-backed dynamics sweeps. Rather than
+// and the experiments' store-backed dynamics sweeps — and Get is its
+// SHA-predicate case: the same block jobs, per-block decode, and
+// execute/merge (runScan), over a postings plan and without Scan's
+// accounting. Rather than
 // gunzip every block and materialize every row as a report.ScanReport,
 // Scan works strictly top-down, skipping work at three levels:
 //
@@ -19,7 +22,10 @@
 //     segments the query's predicates and projection actually touch;
 //     the rest are skipped whole (their lengths are in the payload),
 //     and rows failing a predicate advance the remaining cursors
-//     varint-wise without materializing anything.
+//     varint-wise without materializing anything — rows failing on
+//     SHA or time only once a later row passes. Dictionaries decode
+//     up front, or, under a SHA predicate, entry by entry on first
+//     use (scanpush.go).
 //  3. Kernel aggregation. Matching rows are fed to a per-job Partial
 //     as a reused RowView — no ScanReport, no per-row allocation —
 //     and partials merge in deterministic job order (month ascending,
@@ -43,6 +49,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"vtdynamics/internal/report"
@@ -345,11 +352,19 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 		}
 	})
 
-	// Execute: one partial per job, workers pull jobs, results keep
-	// job order for the deterministic merge.
+	stats.Rows, err = s.runScan(jobs, cq, q.Workers, agg)
+	s.recordScan(stats)
+	return stats, err
+}
+
+// runScan is the execute and merge behind Scan and Get: one partial
+// per job, workers pull jobs, and the partials fold in job order —
+// month ascending, block sequence ascending — so results are
+// independent of the worker count. It returns the rows fed.
+func (s *Store) runScan(jobs []blockJob, cq *compiledQuery, workers int, agg Agg) (int64, error) {
 	partials := make([]Partial, len(jobs))
 	var rows atomic.Int64
-	err = runJobs(q.Workers, len(jobs), func(i int) error {
+	err := runJobs(workers, len(jobs), func(i int) error {
 		pt := agg.NewPartial()
 		n, err := s.runScanJob(jobs[i], cq, pt)
 		if err != nil {
@@ -359,22 +374,15 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 		rows.Add(n)
 		return nil
 	})
-	stats.Rows = rows.Load()
-	s.recordScan(stats)
 	if err != nil {
-		return stats, err
+		return rows.Load(), err
 	}
-
-	// Merge in job order: month ascending, block sequence ascending.
 	for _, pt := range partials {
-		if pt == nil {
-			continue
-		}
 		if err := agg.Merge(pt); err != nil {
-			return stats, err
+			return rows.Load(), err
 		}
 	}
-	return stats, nil
+	return rows.Load(), nil
 }
 
 // recordScan folds one call's accounting into the store metrics.
@@ -403,10 +411,12 @@ func (s *Store) runScanJob(j blockJob, cq *compiledQuery, pt Partial) (int64, er
 	defer j.release(payload)
 	var n int64
 	if blockVer(j.bm) == FormatV1 {
-		rf := rowFeeder{cq: cq, pt: pt}
-		rf.rv.Month = j.month
+		rf := rowFeederPool.Get().(*rowFeeder)
+		rf.cq, rf.pt, rf.rows, rf.rv = cq, pt, 0, RowView{Month: j.month}
 		err = forEachLine(payload, rf.line)
 		n = rf.rows
+		rf.cq, rf.pt = nil, nil
+		rowFeederPool.Put(rf)
 	} else {
 		n, err = scanColPushdown(payload, cq, j.month, pt)
 	}
@@ -417,7 +427,8 @@ func (s *Store) runScanJob(j blockJob, cq *compiledQuery, pt Partial) (int64, er
 }
 
 // rowFeeder adapts v1 lines to the kernel: decode, filter, project
-// into a reused RowView, feed.
+// into a reused RowView, feed. Feeders are pooled, so a v1 block
+// reuses the row and result buffers of earlier ones.
 type rowFeeder struct {
 	cq   *compiledQuery
 	pt   Partial
@@ -427,7 +438,17 @@ type rowFeeder struct {
 	rows int64
 }
 
+var rowFeederPool = sync.Pool{New: func() any { return new(rowFeeder) }}
+
 func (rf *rowFeeder) line(line []byte) error {
+	// Under a SHA predicate most lines are other samples': peek at the
+	// leading "s" key (always first in canonical encoder output) before
+	// a full decode.
+	if rf.cq.shaSet != nil {
+		if sha, ok := rowSHA(line); ok && !rf.cq.shaSet[string(sha)] {
+			return nil
+		}
+	}
 	row := &rf.row
 	if err := decodeScanRow(line, row); err != nil {
 		return err

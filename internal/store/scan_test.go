@@ -1,11 +1,13 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -585,6 +587,82 @@ func TestScanKernelAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, cycle); got > 0 {
 		t.Errorf("group-by kernel cycle allocs/op = %v, budget 0", got)
 	}
+
+	// The row loop itself under a SHA predicate, as a Get reads a v2
+	// block: the lazy dictionaries live in the pooled scratch, so a
+	// block costs no allocation once the scratch has settled.
+	payload, err := appendColumnarBlock(nil, rawBlockFor(colTestReports()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq := compileQuery(Query{SHAs: []string{"aaa"}, Cols: ColAll &^ ColSHA})
+	var fed int64
+	count := rowFunc(func(*RowView) error { fed++; return nil })
+	block := func() {
+		if _, err := scanColPushdown(payload, cq, "2021-05", count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // settle the pooled scratch
+		block()
+	}
+	if got := testing.AllocsPerRun(200, block); got > 0 {
+		t.Errorf("SHA-predicate block scan allocs/op = %v, budget 0", got)
+	}
+	if fed == 0 {
+		t.Fatal("SHA-predicate block scan fed no row")
+	}
+}
+
+// TestScanColPushdownSHAPredicate pins the row loop under a SHA
+// predicate, the way every Get reads a v2 block: a hit feeds exactly
+// the sample's rows, in storage order, and decodes only the dictionary
+// entries they name; a miss feeds nothing and decodes no entry.
+func TestScanColPushdownSHAPredicate(t *testing.T) {
+	raw := rawBlockFor(colTestReports())
+	payload, err := appendColumnarBlock(nil, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(ws *scanScratch, sha string) []*report.ScanReport {
+		t.Helper()
+		agg := historyAgg{sha: sha}
+		pt := agg.NewPartial()
+		cq := compileQuery(Query{SHAs: []string{sha}, Cols: ColAll &^ ColSHA})
+		if _, err := ws.scan(payload, cq, "2021-05", pt); err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.Merge(pt); err != nil {
+			t.Fatal(err)
+		}
+		return agg.reports
+	}
+
+	var hit scanScratch
+	got := get(&hit, "aaa")
+	var want []*report.ScanReport
+	for _, r := range decodeV1Rows(t, raw) {
+		if r.SHA256 == "aaa" {
+			want = append(want, r)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan(aaa):\n got %+v\nwant %+v", got, want)
+	}
+	// "PDF" is only the other samples' file type: never decoded.
+	if !reflect.DeepEqual(hit.ft.vals, []string{"Win32 EXE", ""}) {
+		t.Fatalf("file-type dictionary after a hit = %q, want only aaa's entry decoded", hit.ft.vals)
+	}
+
+	var miss scanScratch
+	if got := get(&miss, "zzz"); got != nil {
+		t.Fatalf("scan(absent) fed %+v", got)
+	}
+	for _, d := range []*scanDict{&miss.ft, &miss.eng, &miss.lab} {
+		if slices.ContainsFunc(d.vals, func(v string) bool { return v != "" }) {
+			t.Fatalf("a miss decoded dictionary entries %q", d.vals)
+		}
+	}
 }
 
 // FuzzScanPushdownDifferential drives random queries over random
@@ -592,37 +670,58 @@ func TestScanKernelAllocBudget(t *testing.T) {
 // full-decode filter row for row — the end-to-end contract of the
 // whole pushdown engine (pruning, projection, skipping, v1 row decode,
 // and indexes rebuilt at Open). Its open-writer arm first demands that
-// a scan beside open writers equals the scan after a Flush.
+// a scan beside open writers equals the scan after a Flush. Its Get
+// arm demands that Get of one sample — over the open writers and again
+// after the Flush — equals the naive reference's rows for it, and a
+// SHA scan for it the naive filter's.
 func FuzzScanPushdownDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(0), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(2))
-	f.Add(int64(2), uint8(1), int64(20), int64(55), uint8(1), uint8(2), uint8(1), true, uint8(3), uint8(1))
-	f.Add(int64(3), uint8(2), int64(-5), int64(200), uint8(9), uint8(9), uint8(9), false, uint8(9), uint8(4))
-	f.Add(int64(4), uint8(3), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(1))
-	f.Add(int64(5), uint8(3), int64(30), int64(70), uint8(2), uint8(1), uint8(0), true, uint8(2), uint8(3))
+	f.Add(int64(1), uint8(0), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(2), uint8(1))
+	f.Add(int64(2), uint8(1), int64(20), int64(55), uint8(1), uint8(2), uint8(1), true, uint8(3), uint8(1), uint8(2))
+	f.Add(int64(3), uint8(2), int64(-5), int64(200), uint8(9), uint8(9), uint8(9), false, uint8(9), uint8(4), uint8(3))
+	f.Add(int64(4), uint8(3), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(1), uint8(4))
+	f.Add(int64(5), uint8(3), int64(30), int64(70), uint8(2), uint8(1), uint8(0), true, uint8(2), uint8(3), uint8(5))
+	// Empty values: the "" file type and label in the predicate sets
+	// (selectors 5 and 4 take the whole vocabulary), and a Get and a
+	// SHA scan of the empty SHA, which no store holds.
+	f.Add(int64(6), uint8(4), int64(0), int64(0), uint8(5), uint8(0), uint8(4), false, uint8(0), uint8(2), uint8(0))
+	f.Add(int64(7), uint8(3), int64(0), int64(0), uint8(5), uint8(5), uint8(4), false, uint8(1), uint8(0), uint8(0))
+	f.Add(int64(8), uint8(1), int64(0), int64(0), uint8(5), uint8(0), uint8(4), false, uint8(0), uint8(1), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, format uint8, sinceDays, untilDays int64,
-		ftSel, engSel, labSel uint8, malOnly bool, shaSel, workers uint8) {
+		ftSel, engSel, labSel uint8, malOnly bool, shaSel, workers, getSel uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		envs := genScanEnvelopes(rng, 60, 12)
+		// No cache: the Get after the Flush must decode again.
+		opts := []Option{WithBlockSize(1 << 9), WithCacheSize(0)}
 		var s *Store
-		switch format % 4 {
+		switch format % 5 {
 		case 0:
-			s = buildScanStore(t, envs, WithBlockSize(1<<9))
+			s = buildScanStore(t, envs, opts...)
 		case 1:
-			s = buildScanStoreV1(t, envs, WithBlockSize(1<<9))
+			s = buildScanStoreV1(t, envs, opts...)
 		case 2: // legacy: the pre-sidecar shape — v1, one giant member
 			// per flush, no .idx files — reopened below so the scan runs
 			// over indexes Open rebuilt from the partition bytes.
-			s = buildScanStore(t, envs, WithBlockSize(1<<30))
+			s = buildScanStore(t, envs, WithBlockSize(1<<30), WithCacheSize(0))
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 			writeV1Store(t, s.dir)
 			var rebuilds int64
-			if s, _, rebuilds = openCounting(t, s.dir); rebuilds == 0 {
+			if s, _, rebuilds = openCounting(t, s.dir, WithCacheSize(0)); rebuilds == 0 {
 				t.Fatal("sidecar-less store opened without rebuilding an index")
 			}
 		case 3: // open writers: rows pending, blocks queued
-			s = buildOpenScanStore(t, envs, WithBlockSize(1<<9))
+			s = buildOpenScanStore(t, envs, opts...)
+		case 4: // mixed: v2 blocks appended to v1 months
+			s = buildScanStoreV1(t, envs[:30], opts...)
+			for _, env := range envs[30:] {
+				if err := s.Put(env); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		defer s.Close()
 
@@ -648,11 +747,50 @@ func FuzzScanPushdownDifferential(f *testing.F) {
 			}
 		}
 		q.MaliciousOnly = malOnly
-		if format%4 == 3 {
+		sha := ""
+		if getSel > 0 {
+			sha = fmt.Sprintf("scan%03d", int(getSel)%12)
+		}
+		h, err := s.Get(sha)
+		if format%5 == 3 {
 			checkOpenEqualsFlushed(t, s, q)
 		}
 		checkScanAgainstNaive(t, s, q)
+		checkGetAgainstNaive(t, s, sha, h, err)
+		h, err = s.Get(sha)
+		checkGetAgainstNaive(t, s, sha, h, err)
+		checkScanAgainstNaive(t, s, Query{SHAs: []string{sha}, Cols: ColAll, Workers: int(workers % 5)})
 	})
+}
+
+// checkGetAgainstNaive holds one Get result to the naive reference:
+// the sample's rows of every sealed block, decoded in full, in storage
+// order, then stably sorted by time. A sample without rows is not
+// indexed, so its Get must fail. The store must be flushed.
+func checkGetAgainstNaive(t testing.TB, s *Store, sha string, h *report.History, err error) {
+	t.Helper()
+	var want []*report.ScanReport
+	for _, mi := range s.monthIndexes(nil) {
+		for _, bm := range mi.ix.snapshotBlocks() {
+			if err := decodeBlockRows(s.partPath(mi.month), bm, func(row *scanRow) {
+				if row.SHA == sha {
+					want = append(want, rowToReport(*row))
+				}
+			}); err != nil {
+				t.Fatalf("naive get: %v", err)
+			}
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].AnalysisDate.Before(want[j].AnalysisDate) })
+	switch {
+	case len(want) == 0 && !errors.Is(err, ErrUnknownSample):
+		t.Fatalf("Get(%q) of a sample without rows = %v, %v", sha, h, err)
+	case len(want) == 0:
+	case err != nil:
+		t.Fatalf("Get(%q): %v", sha, err)
+	case !reflect.DeepEqual(h.Reports, want):
+		t.Fatalf("Get(%q) diverges from the naive reference:\n got %d %+v\nwant %d %+v", sha, len(h.Reports), h.Reports, len(want), want)
+	}
 }
 
 // TestScanLegacyFixtureSidecarBytes pins the committed legacy-sidecar

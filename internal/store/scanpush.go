@@ -1,32 +1,131 @@
-// The v2 pushdown loop: Scan's projected, predicate-first decode of
-// one columnar block payload (see scan.go for the engine as a whole).
+// The v2 pushdown loop: the one projected, predicate-first decode of a
+// columnar block payload, behind Scan and Get alike (see scan.go for
+// the engine as a whole).
 package store
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 
 	"vtdynamics/internal/report"
 )
 
 // scanScratch holds the per-block decode state a pushdown scan reuses
-// across blocks (pooled per worker invocation): dictionary match
-// bitmaps, projected dictionary values, and the ResView buffer.
+// across blocks (pooled per worker invocation): the four dictionaries,
+// the ResView buffer and the RowView fed to the kernel (a kernel call
+// through the Partial interface would move a local one to the heap).
 type scanScratch struct {
-	shaOK, ftOK, engOK, labOK         []bool
-	shaVals, ftVals, engVals, labVals []string
-	res                               []ResView
+	sha, ft, eng, lab scanDict
+	res               []ResView
+	rv                RowView
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// scanDict is one block dictionary as the row loop sees it. When the
+// query filters on it, ok[i] records whether entry i is in the
+// predicate set; when it projects it, at hands out entry i. Without a
+// SHA predicate, the walk decodes every entry up front: a scan feeds
+// most rows, so it references most entries. Under one (a Get, or a
+// SHA scan), few rows survive, so the walk records only where each
+// entry starts and at decodes an entry on its first reference — a Get
+// touching 2 of a block's 200 labels pays string work for 2.
+type scanDict struct {
+	ok     []bool
+	vals   []string
+	offs   []int32 // lazy: entry i's length prefix in buf
+	buf    []byte
+	lazy   bool
+	intern bool
+}
+
+// at returns entry i, which the walk bounds-checked. A lazy empty
+// entry decodes again on every reference: "" marks "not yet decoded",
+// and an eager empty entry must not be taken for one.
+func (d *scanDict) at(i uint64) string {
+	if v := d.vals[i]; v != "" || !d.lazy {
+		return v
+	}
+	return d.load(i)
+}
+
+func (d *scanDict) load(i uint64) string {
+	l, n := binary.Uvarint(d.buf[d.offs[i]:])
+	d.vals[i] = d.decode(d.buf[int(d.offs[i])+n:][:l])
+	return d.vals[i]
+}
+
+// decode materialises an entry. intern routes it through the shared
+// vocabulary table (engines, labels, file types; table hits allocate
+// nothing); sha entries stay plain copies — sample hashes are an
+// unbounded vocabulary that must not crowd the intern table.
+func (d *scanDict) decode(b []byte) string {
+	if d.intern {
+		return report.InternBytes(b)
+	}
+	return string(b)
+}
+
+// walk reads the dictionary at c. A filtered walk tests each entry
+// against set on its raw bytes (the compiler elides the string
+// conversion); a projected one decodes each entry now or, lazy,
+// records its offset. It returns the entry count (for the row loop's
+// bounds checks) and whether any entry passed the filter: a miss means
+// no row of the block can match — the fingerprint or posting was a
+// false positive — and the caller stops before any segment.
+func (d *scanDict) walk(c *colCursor, set map[string]bool, projected, lazy, intern bool) (uint64, bool, error) {
+	if set == nil && !projected {
+		n, err := c.skipDict()
+		return n, true, err
+	}
+	n, err := c.uvarint()
+	if err != nil {
+		return 0, false, err
+	}
+	if n > uint64(len(c.buf)-c.off) { // as in skipDict
+		return 0, false, errColCorrupt
+	}
+	d.buf, d.lazy, d.intern = c.buf, lazy && projected, intern
+	if set != nil {
+		d.ok = boolsFor(d.ok, int(n))
+	}
+	if projected {
+		d.vals = stringsFor(d.vals, int(n))
+	}
+	if d.lazy {
+		d.offs = slices.Grow(d.offs[:0], int(n))[:n]
+	}
+	anyHit := set == nil
+	for i := range n {
+		start := c.off
+		l, err := c.uvarint()
+		if err != nil {
+			return 0, false, err
+		}
+		b, err := c.bytes(int(l))
+		if err != nil {
+			return 0, false, err
+		}
+		if set != nil && set[string(b)] {
+			d.ok[i] = true
+			anyHit = true
+		}
+		if d.lazy {
+			d.offs[i] = int32(start)
+		} else if projected {
+			d.vals[i] = d.decode(b)
+		}
+	}
+	return n, anyHit, nil
+}
 
 func boolsFor(buf []bool, n int) []bool {
 	if cap(buf) < n {
 		return make([]bool, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
+	clear(buf)
 	return buf
 }
 
@@ -39,12 +138,18 @@ func stringsFor(buf []string, n int) []string {
 	return buf
 }
 
-// scanColPushdown is the projected v2 decode: dictionaries are walked
-// raw to resolve predicates (set membership tested against the raw
-// bytes — no allocation), values materialize only for projected
-// columns, and the row loop touches only the needed segments. Returns
-// the number of matching rows fed to pt.
+// scanColPushdown is the one v2 row loop, behind Scan and Get alike:
+// dictionaries are walked raw to resolve predicates (set membership
+// tested against the raw bytes — no allocation), values materialize
+// only for projected columns, and the row loop touches only the needed
+// segments. Returns the number of matching rows fed to pt.
 func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial) (int64, error) {
+	ws := scanScratchPool.Get().(*scanScratch)
+	defer scanScratchPool.Put(ws)
+	return ws.scan(payload, cq, month, pt)
+}
+
+func (ws *scanScratch) scan(payload []byte, cq *compiledQuery, month string, pt Partial) (int64, error) {
 	if sniffVersion(payload) != FormatV2 {
 		return 0, errColCorrupt
 	}
@@ -58,85 +163,22 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 		return 0, err
 	}
 
-	ws := scanScratchPool.Get().(*scanScratch)
-	defer scanScratchPool.Put(ws)
 	proj := cq.q.Cols
-
-	// walk resolves one dictionary: when filtered, ok[i] records
-	// whether entry i is in the predicate set (map lookup on the raw
-	// bytes — the compiler elides the string conversion); when
-	// projected, vals[i] materializes the entry. anyHit reports
-	// whether any entry passed the filter — a miss means the whole
-	// block cannot match (the fingerprint was a false positive) and
-	// the caller can stop before decoding any segment.
-	walk := func(set map[string]bool, ok *[]bool, okBuf []bool, vals *[]string, valBuf []string, intern bool) (size uint64, anyHit bool, _ error) {
-		filtered, projected := set != nil, vals != nil
-		if !filtered && !projected {
-			n, err := dictSize(&c)
-			return n, true, err
-		}
-		n, err := c.uvarint()
-		if err != nil {
-			return 0, false, err
-		}
-		if n > uint64(len(c.buf)-c.off) {
-			return 0, false, errColCorrupt
-		}
-		if filtered {
-			*ok = boolsFor(okBuf, int(n))
-		}
-		if projected {
-			*vals = stringsFor(valBuf, int(n))
-		}
-		anyHit = !filtered
-		for i := uint64(0); i < n; i++ {
-			l, err := c.uvarint()
-			if err != nil {
-				return 0, false, err
-			}
-			b, err := c.bytes(int(l))
-			if err != nil {
-				return 0, false, err
-			}
-			if filtered && set[string(b)] {
-				(*ok)[i] = true
-				anyHit = true
-			}
-			if projected {
-				if intern {
-					(*vals)[i] = report.InternBytes(b)
-				} else {
-					(*vals)[i] = string(b)
-				}
-			}
-		}
-		return n, anyHit, nil
-	}
-
+	lazy := cq.shaSet != nil
 	var (
 		shaN, ftN, engN, labN uint64
 		hit                   bool
 	)
-	var shaVals, ftVals, engVals, labVals *[]string
-	if proj&ColSHA != 0 {
-		shaVals = &ws.shaVals
-	}
-	if proj&ColFT != 0 {
-		ftVals = &ws.ftVals
-	}
-	if proj&ColResults != 0 {
-		engVals, labVals = &ws.engVals, &ws.labVals
-	}
-	if shaN, hit, err = walk(cq.shaSet, &ws.shaOK, ws.shaOK, shaVals, ws.shaVals, false); err != nil || !hit {
+	if shaN, hit, err = ws.sha.walk(&c, cq.shaSet, proj&ColSHA != 0, lazy, false); err != nil || !hit {
 		return 0, err
 	}
-	if ftN, hit, err = walk(cq.ftSet, &ws.ftOK, ws.ftOK, ftVals, ws.ftVals, true); err != nil || !hit {
+	if ftN, hit, err = ws.ft.walk(&c, cq.ftSet, proj&ColFT != 0, lazy, true); err != nil || !hit {
 		return 0, err
 	}
-	if engN, hit, err = walk(cq.engSet, &ws.engOK, ws.engOK, engVals, ws.engVals, true); err != nil || !hit {
+	if engN, hit, err = ws.eng.walk(&c, cq.engSet, proj&ColResults != 0, lazy, true); err != nil || !hit {
 		return 0, err
 	}
-	if labN, hit, err = walk(cq.labSet, &ws.labOK, ws.labOK, labVals, ws.labVals, true); err != nil || !hit {
+	if labN, hit, err = ws.lab.walk(&c, cq.labSet, proj&ColResults != 0, lazy, true); err != nil || !hit {
 		return 0, err
 	}
 
@@ -154,26 +196,26 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 		return 0, errColCorrupt
 	}
 
-	var (
-		shaC  = colCursor{buf: segs[segSHA]}
-		timeC = colCursor{buf: segs[segTime]}
-		ftC   = colCursor{buf: segs[segFT]}
-		rankC = colCursor{buf: segs[segRank]}
-		totC  = colCursor{buf: segs[segTot]}
-		nresC = colCursor{buf: segs[segNRes]}
-		resC  = colCursor{buf: segs[segRes]}
-		vr    *verdictReader
-	)
+	cur := rowCursors{
+		ft:   colCursor{buf: segs[segFT]},
+		rank: colCursor{buf: segs[segRank]},
+		tot:  colCursor{buf: segs[segTot]},
+		nres: colCursor{buf: segs[segNRes]},
+		res:  colCursor{buf: segs[segRes]},
+	}
+	shaC, timeC := colCursor{buf: segs[segSHA]}, colCursor{buf: segs[segTime]}
 	if cq.needVerdict {
-		if vr, err = newVerdictReader(segs[segVerdict]); err != nil {
+		if cur.vr, err = newVerdictReader(segs[segVerdict]); err != nil {
 			return 0, err
 		}
 	}
 
-	rv := RowView{Month: month}
+	rv := &ws.rv
+	*rv = RowView{Month: month}
 	var (
-		fed int64
-		at  int64
+		fed  int64
+		at   int64
+		owed int // rows failed on SHA or time that the later cursors have not passed
 	)
 	for i := 0; i < rows; i++ {
 		match := true
@@ -185,7 +227,7 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 			if shaIdx >= shaN {
 				return fed, errColCorrupt
 			}
-			if cq.shaSet != nil && !ws.shaOK[shaIdx] {
+			if cq.shaSet != nil && !ws.sha.ok[shaIdx] {
 				match = false
 			}
 		}
@@ -202,48 +244,52 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 				match = false
 			}
 		}
+		// The row's other columns wait: the next row that passes steps
+		// past them all in one run, and rows after a block's last match
+		// cost nothing more. Under a SHA predicate that is most rows.
+		if !match {
+			owed++
+			continue
+		}
+		if owed > 0 {
+			if err := cur.skipRows(owed, cq); err != nil {
+				return fed, err
+			}
+			owed = 0
+		}
 		if cq.needFT {
-			if ftIdx, err = ftC.uvarint(); err != nil {
+			if ftIdx, err = cur.ft.uvarint(); err != nil {
 				return fed, err
 			}
 			if ftIdx >= ftN {
 				return fed, errColCorrupt
 			}
-			if cq.ftSet != nil && !ws.ftOK[ftIdx] {
+			if cq.ftSet != nil && !ws.ft.ok[ftIdx] {
 				match = false
 			}
 		}
 		var rank, tot int64
 		if cq.needRank {
-			if rank, err = rankC.varint(); err != nil {
+			if rank, err = cur.rank.varint(); err != nil {
 				return fed, err
 			}
 		}
 		if cq.needTot {
-			if tot, err = totC.varint(); err != nil {
+			if tot, err = cur.tot.varint(); err != nil {
 				return fed, err
 			}
 		}
 		if cq.needNRes {
-			nres, err := nresC.uvarint()
+			nres, err := cur.nres.uvarint()
 			if err != nil {
 				return fed, err
 			}
-			if nres > uint64(len(segs[segRes])) {
+			if nres > uint64(len(cur.res.buf)) {
 				return fed, errColCorrupt
 			}
 			if !match {
-				if cq.needRes {
-					if err := resC.skipVarints(3 * int(nres)); err != nil {
-						return fed, err
-					}
-				}
-				if cq.needVerdict {
-					if vr.packed {
-						vr.n += int(nres)
-					} else if err := vr.c.skipVarints(int(nres)); err != nil {
-						return fed, err
-					}
+				if err := cur.skipResults(int(nres), cq); err != nil {
+					return fed, err
 				}
 				continue
 			}
@@ -255,16 +301,16 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 				var engIdx, labIdx uint64
 				var sig int64
 				if cq.needRes {
-					if engIdx, err = resC.uvarint(); err != nil {
+					if engIdx, err = cur.res.uvarint(); err != nil {
 						return fed, err
 					}
 					if engIdx >= engN {
 						return fed, errColCorrupt
 					}
-					if sig, err = resC.varint(); err != nil {
+					if sig, err = cur.res.varint(); err != nil {
 						return fed, err
 					}
-					if labIdx, err = resC.uvarint(); err != nil {
+					if labIdx, err = cur.res.uvarint(); err != nil {
 						return fed, err
 					}
 					if labIdx > labN {
@@ -273,23 +319,23 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 				}
 				var v int8
 				if cq.needVerdict {
-					if v, err = vr.next(); err != nil {
+					if v, err = cur.vr.next(); err != nil {
 						return fed, err
 					}
 				}
-				if !engHit && ws.engOK[engIdx] {
+				if !engHit && ws.eng.ok[engIdx] {
 					engHit = true
 				}
-				if !labHit && labIdx > 0 && ws.labOK[labIdx-1] {
+				if !labHit && labIdx > 0 && ws.lab.ok[labIdx-1] {
 					labHit = true
 				}
 				if !malHit && v == int8(report.Malicious) {
 					malHit = true
 				}
 				if proj&ColResults != 0 {
-					e := ResView{Eng: ws.engVals[engIdx], Sig: int(sig), Ver: v}
+					e := ResView{Eng: ws.eng.at(engIdx), Sig: int(sig), Ver: v}
 					if labIdx > 0 {
-						e.Lab = ws.labVals[labIdx-1]
+						e.Lab = ws.lab.at(labIdx - 1)
 					}
 					res = append(res, e)
 				}
@@ -305,13 +351,13 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 			continue
 		}
 		if proj&ColSHA != 0 {
-			rv.SHA = ws.shaVals[shaIdx]
+			rv.SHA = ws.sha.at(shaIdx)
 		}
 		if proj&ColTime != 0 {
 			rv.At = at
 		}
 		if proj&ColFT != 0 {
-			rv.FT = ws.ftVals[ftIdx]
+			rv.FT = ws.ft.at(ftIdx)
 		}
 		if proj&ColRank != 0 {
 			rv.Rank = int(rank)
@@ -320,31 +366,62 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 			rv.Tot = int(tot)
 		}
 		fed++
-		if err := pt.Row(&rv); err != nil {
+		if err := pt.Row(rv); err != nil {
 			return fed, err
 		}
 	}
 	return fed, nil
 }
 
-// dictSize skips one dictionary, returning its entry count (for the
-// row loop's index bounds checks).
-func dictSize(c *colCursor) (uint64, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return 0, err
+// rowCursors are a v2 block's column cursors past the two the row
+// loop decides on first (SHA and time).
+type rowCursors struct {
+	ft, rank, tot, nres, res colCursor
+	vr                       *verdictReader
+}
+
+// skipRows steps past k rows in every cursor the query reads.
+func (cur *rowCursors) skipRows(k int, cq *compiledQuery) error {
+	for _, c := range []struct {
+		need bool
+		c    *colCursor
+	}{{cq.needFT, &cur.ft}, {cq.needRank, &cur.rank}, {cq.needTot, &cur.tot}} {
+		if c.need {
+			if err := c.c.skipVarints(k); err != nil {
+				return err
+			}
+		}
 	}
-	if n > uint64(len(c.buf)-c.off) {
-		return 0, errColCorrupt
+	if !cq.needNRes {
+		return nil
 	}
-	for i := uint64(0); i < n; i++ {
-		l, err := c.uvarint()
+	n := 0
+	for range k {
+		nres, err := cur.nres.uvarint()
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if _, err := c.bytes(int(l)); err != nil {
-			return 0, err
+		if nres > uint64(len(cur.res.buf)) {
+			return errColCorrupt
+		}
+		n += int(nres)
+	}
+	return cur.skipResults(n, cq)
+}
+
+// skipResults steps past n results in the result and verdict columns.
+func (cur *rowCursors) skipResults(n int, cq *compiledQuery) error {
+	if cq.needRes {
+		if err := cur.res.skipVarints(3 * n); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	if cq.needVerdict {
+		if cur.vr.packed {
+			cur.vr.n += n
+		} else if err := cur.vr.c.skipVarints(n); err != nil {
+			return err
+		}
+	}
+	return nil
 }
