@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"vtdynamics/internal/durable"
 )
 
 // A 14-month collection campaign will be interrupted — the paper's
@@ -27,17 +29,19 @@ type Cursor interface {
 }
 
 // FileCursor persists the frontier as Unix seconds in a small file,
-// written atomically (write temp + fsync + rename).
+// replaced by durable.WriteFile with the temp file fsynced and no
+// directory fsync.
 //
 // Crash recovery: a kill mid-checkpoint can leave the main file
-// truncated or the temp file orphaned at any stage. Load therefore
-// considers both files and returns the furthest valid frontier it
-// finds, ignoring whichever is torn. That is always safe — never a
-// gap, at worst a re-fetch — because Save is only called after the
-// slice's envelopes are durably in the sink: the frontier is monotone
-// and every value ever written to either file was durable when
-// written, so the max of the surviving values is a frontier the sink
-// has fully absorbed.
+// truncated or the temp file (durable.TempPath) orphaned at any stage,
+// and a Save whose rename fails leaves its fsynced temp file in place.
+// Load therefore considers both files and returns the furthest valid
+// frontier it finds, ignoring whichever is torn. That is always safe —
+// never a gap, at worst a re-fetch — because Save is only called after
+// the slice's envelopes are durably in the sink: the frontier is
+// monotone and every value ever written to either file was durable
+// when written, so the max of the surviving values is a frontier the
+// sink has fully absorbed.
 type FileCursor struct {
 	Path string
 }
@@ -60,7 +64,7 @@ func readFrontier(path string) (time.Time, bool) {
 // Load implements Cursor.
 func (c *FileCursor) Load() (time.Time, bool, error) {
 	main, mainOK := readFrontier(c.Path)
-	tmp, tmpOK := readFrontier(c.Path + ".tmp")
+	tmp, tmpOK := readFrontier(durable.TempPath(c.Path))
 	switch {
 	case mainOK && tmpOK:
 		if tmp.After(main) {
@@ -77,26 +81,10 @@ func (c *FileCursor) Load() (time.Time, bool, error) {
 
 // Save implements Cursor.
 func (c *FileCursor) Save(frontier time.Time) error {
-	tmp := c.Path + ".tmp"
-	data := strconv.FormatInt(frontier.Unix(), 10) + "\n"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("feed: cursor: %w", err)
-	}
-	if _, err := f.Write([]byte(data)); err != nil {
-		f.Close()
-		return fmt.Errorf("feed: cursor: %w", err)
-	}
+	data := []byte(strconv.FormatInt(frontier.Unix(), 10) + "\n")
 	// fsync before rename: otherwise a crash can promote a zero-length
 	// temp file over a good cursor.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("feed: cursor: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("feed: cursor: %w", err)
-	}
-	if err := os.Rename(tmp, c.Path); err != nil {
+	if err := durable.WriteFile(c.Path, true, durable.Bytes(data)); err != nil {
 		return fmt.Errorf("feed: cursor: %w", err)
 	}
 	return nil

@@ -124,17 +124,23 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// histCell is one histogram shard: per-bucket counts plus a float64
-// sum kept as atomic bits. Each cell owns its own allocations, so
-// concurrent observers on different cells never share lines.
+// sumScale is a histogram sum's fixed point: nanounits, so a
+// seconds-valued histogram sums whole nanoseconds and a cell holds
+// about 292 years of them. Integer sums are exact, so a snapshot does
+// not depend on which observations shared a cell (float addition is
+// not associative), and one Add replaces a CAS loop.
+const sumScale = 1e9
+
+// histCell is one histogram shard: per-bucket counts plus the sum in
+// nanounits. Each cell owns its own allocations, so concurrent
+// observers on different cells never share lines.
 type histCell struct {
-	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	sumBits atomic.Uint64
+	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
+	sum    atomic.Int64
 }
 
 // Histogram is a fixed-bucket sharded histogram. Observe is one
-// binary search plus one atomic add (and a CAS loop for the sum) on
-// a randomly selected cell.
+// binary search plus two atomic adds on a randomly selected cell.
 type Histogram struct {
 	bounds []float64 // strictly increasing upper bounds (le)
 	cells  []histCell
@@ -166,13 +172,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	c := &h.cells[pick(h.mask)]
 	c.counts[i].Add(1)
-	for {
-		old := c.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if c.sumBits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
+	c.sum.Add(int64(math.Round(v * sumScale)))
 }
 
 // ObserveDuration records a duration in seconds.
@@ -194,13 +194,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		Bounds:  h.bounds,
 		Buckets: make([]int64, len(h.bounds)+1),
 	}
+	var sum int64
 	for ci := range h.cells {
 		c := &h.cells[ci]
 		for bi := range c.counts {
 			s.Buckets[bi] += c.counts[bi].Load()
 		}
-		s.Sum += math.Float64frombits(c.sumBits.Load())
+		sum += c.sum.Load()
 	}
+	s.Sum = float64(sum) / sumScale
 	for _, n := range s.Buckets {
 		s.Count += n
 	}

@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"vtdynamics/internal/bufpool"
+	"vtdynamics/internal/durable"
 )
 
 // blockSizeDefault is the target uncompressed size of one block. Big
@@ -209,10 +210,10 @@ func sidecarPath(dir, month string) string {
 // Postings are a map, which encoding/json serializes with sorted keys,
 // so sidecar bytes are deterministic — the concurrency determinism
 // harness hashes them along with the partitions. The file is replaced
-// by tmp+rename, so a crash mid-write leaves the previous sidecar (or
-// none), never torn JSON; dirty clears only once the rename succeeded
-// and no block arrived meanwhile, so a failed write is retried by the
-// next Flush/Sync.
+// by durable.WriteFile, so a crash mid-write leaves the previous
+// sidecar (or none), never torn JSON; dirty clears only once the
+// rename succeeded and no block arrived meanwhile, so a failed write is
+// retried by the next Flush/Sync.
 func (ix *partIndex) writeSidecar(dir, month string) error {
 	ix.sideMu.Lock()
 	defer ix.sideMu.Unlock()
@@ -235,7 +236,7 @@ func (ix *partIndex) writeSidecar(dir, month string) error {
 	if err != nil {
 		return fmt.Errorf("store: index sidecar: %w", err)
 	}
-	if err := atomicWriteFile(sidecarPath(dir, month), b, false); err != nil {
+	if err := durable.WriteFile(sidecarPath(dir, month), false, durable.Bytes(b)); err != nil {
 		return err
 	}
 	ix.mu.Lock()

@@ -66,8 +66,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"syscall"
 
+	"vtdynamics/internal/durable"
 	"vtdynamics/internal/report"
 )
 
@@ -349,26 +349,7 @@ func (s *Store) syncPartition(month string, ix *partIndex) error {
 	if ix == nil || !ix.takeUnsynced() {
 		return nil
 	}
-	return syncPath(s.partPath(month))
-}
-
-// syncPath fsyncs a file (or directory) by name. Dirty pages belong to
-// the inode, so this covers writes made through any descriptor.
-func syncPath(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	// Filesystems that cannot fsync a directory say EINVAL; there is
-	// nothing further to ask of them.
-	if err != nil && !errors.Is(err, syscall.EINVAL) {
-		return fmt.Errorf("store: fsync %s: %w", path, err)
-	}
-	return nil
+	return durable.SyncPath(s.partPath(month))
 }
 
 // encodeRecord appends one framed record to dst: the entries of months
@@ -447,7 +428,7 @@ func (s *Store) openJournal() error {
 	// The record's own fsync makes the bytes durable; the name needs the
 	// directory's.
 	if err == nil {
-		err = syncPath(s.dir)
+		err = durable.SyncPath(s.dir)
 	}
 	if err != nil {
 		f.Close()
@@ -510,12 +491,13 @@ func (s *Store) fold(final bool) error {
 	}
 	s.jstale = false
 	s.m.journalFolds.Inc()
-	return syncPath(s.dir)
+	return durable.SyncPath(s.dir)
 }
 
 // restartJournal replaces checkpoint.log with one record holding every
-// open writer's pending rows, via tmp+fsync+rename, and keeps the new
-// file open for appending.
+// open writer's pending rows, fsynced before durable.WriteFile renames
+// it into place (the fold's closing directory fsync makes the rename
+// durable), and reopens the new file for appending.
 func (s *Store) restartJournal() error {
 	s.wmu.Lock()
 	months := sortedKeys(s.writers)
@@ -530,25 +512,17 @@ func (s *Store) restartJournal() error {
 		return err
 	}
 
-	tmp := s.journalPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err = f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if err == nil {
-		err = os.Rename(tmp, s.journalPath())
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := durable.WriteFile(s.journalPath(), true, durable.Bytes(buf)); err != nil {
 		return fmt.Errorf("store: checkpoint journal: %w", err)
 	}
-	s.jf, s.jsize, s.journaled = f, int64(len(buf)), true
+	s.jsize, s.journaled = int64(len(buf)), true
 	s.foldAt = s.foldThreshold(int64(len(buf)))
 	s.m.journalBytes.Add(int64(len(buf)))
+	f, err := os.OpenFile(s.journalPath(), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("store: checkpoint journal: %w", err)
+	}
+	s.jf = f
 	return nil
 }
 

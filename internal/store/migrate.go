@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"vtdynamics/internal/bufpool"
+	"vtdynamics/internal/durable"
 )
 
 // MigrateStats summarizes one Migrate pass.
@@ -103,7 +104,7 @@ func (s *Store) migrateMonth(month string, blocks []blockMeta) (bool, error) {
 		os.Remove(tmp)
 		return false, fmt.Errorf("store: migrate %s: %w", month, err)
 	}
-	if err := syncPath(s.dir); err != nil {
+	if err := durable.SyncPath(s.dir); err != nil {
 		return false, err
 	}
 	s.setIndex(month, newIx)
@@ -149,7 +150,7 @@ func (s *Store) rewriteMonth(month string, blocks []blockMeta, dst string) (*par
 		err = w.finishLocked()
 	}
 	if err == nil {
-		err = syncPath(dst)
+		err = durable.SyncPath(dst)
 	}
 	if err != nil {
 		f.Close()

@@ -40,6 +40,7 @@ import (
 	"strings"
 
 	"vtdynamics/internal/bufpool"
+	"vtdynamics/internal/durable"
 	"vtdynamics/internal/report"
 )
 
@@ -436,7 +437,7 @@ func (s *Store) ApplySamplesSnapshot(data []byte) error {
 		sh.samples[m.SHA256] = m
 		sh.mu.Unlock()
 	}
-	return atomicWriteFile(filepath.Join(s.dir, "samples.jsonl.gz"), data, false)
+	return durable.WriteFile(filepath.Join(s.dir, "samples.jsonl.gz"), false, durable.Bytes(data))
 }
 
 // ApplyStatsSnapshot replaces the replica's per-month accounting with
@@ -453,34 +454,7 @@ func (s *Store) ApplyStatsSnapshot(data []byte) error {
 		s.stats[month] = &cp
 	}
 	s.smu.Unlock()
-	return atomicWriteFile(filepath.Join(s.dir, "stats.json"), data, false)
-}
-
-// atomicWriteFile writes data via a temp file + rename so readers
-// never observe a torn state file; durable fsyncs the temp file first,
-// so the rename cannot promote bytes a power loss would tear.
-func atomicWriteFile(path string, data []byte, durable bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, err = f.Write(data)
-	if err == nil && durable {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return durable.WriteFile(filepath.Join(s.dir, "stats.json"), false, durable.Bytes(data))
 }
 
 // RepairStats summarizes one RepairDir pass.

@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"vtdynamics/internal/bufpool"
+	"vtdynamics/internal/durable"
 	"vtdynamics/internal/obs"
 	"vtdynamics/internal/report"
 )
@@ -627,38 +628,18 @@ func (s *Store) Close() error {
 	return s.fold(true)
 }
 
-// writeSnapshots persists the sample-metadata and stats snapshots,
-// each written to a temp file and renamed into place so a crash
-// mid-write never clobbers the previous good snapshot; durable fsyncs
-// each before its rename, which a fold needs before it may drop the
-// journal records the snapshots replace. Both files go through the
-// same encoders the replication leader serves (WriteSamplesSnapshot,
-// StatsJSON), so a follower that applied the leader's snapshots and
-// then Closes rewrites identical bytes. The samples snapshot is
-// O(total samples), which is why only Close and a fold write it.
-func (s *Store) writeSnapshots(durable bool) error {
-	path := filepath.Join(s.dir, "samples.jsonl.gz")
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.WriteSamplesSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+// writeSnapshots persists the sample-metadata and stats snapshots
+// through durable.WriteFile, so a crash mid-write never clobbers the
+// previous good snapshot; sync fsyncs each before its rename, which a
+// fold needs before it may drop the journal records the snapshots
+// replace. Both files go through the same encoders the replication
+// leader serves (WriteSamplesSnapshot, StatsJSON), so a follower that
+// applied the leader's snapshots and then Closes rewrites identical
+// bytes. The samples snapshot is O(total samples), which is why only
+// Close and a fold write it.
+func (s *Store) writeSnapshots(sync bool) error {
+	if err := durable.WriteFile(filepath.Join(s.dir, "samples.jsonl.gz"), sync, s.WriteSamplesSnapshot); err != nil {
 		return err
-	}
-	if durable {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	if err := s.step("samples"); err != nil {
 		return err
@@ -668,7 +649,7 @@ func (s *Store) writeSnapshots(durable bool) error {
 	if err != nil {
 		return err
 	}
-	if err := atomicWriteFile(filepath.Join(s.dir, "stats.json"), b, durable); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, "stats.json"), sync, durable.Bytes(b)); err != nil {
 		return err
 	}
 	return s.step("stats")

@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -237,6 +239,30 @@ func TestReopenRestoresIndexAndStats(t *testing.T) {
 	}
 	if got.RawBytes != wantTotal.RawBytes {
 		t.Fatalf("reopened raw bytes = %d, want %d", got.RawBytes, wantTotal.RawBytes)
+	}
+}
+
+// A Close whose snapshot write fails leaves the directory as it found
+// it: an unfsynced temp file is no newer version, so none may linger.
+func TestCloseFailedSnapshotLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(envelope("a", t0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// A directory squatting on the snapshot's name fails the rename.
+	path := filepath.Join(dir, "samples.jsonl.gz")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close swallowed a failed snapshot write")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed snapshot write left its temp file: %v", err)
 	}
 }
 

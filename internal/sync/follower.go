@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"vtdynamics/internal/durable"
 	"vtdynamics/internal/obs"
 	"vtdynamics/internal/store"
 )
@@ -136,31 +137,16 @@ func (f *Follower) Reconcile() Cursor {
 	return effective
 }
 
-// saveCursor persists the current store frontier atomically; cursor
-// loss is never fatal, so write errors surface but do not roll back
-// applied blocks.
+// saveCursor persists the current store frontier through
+// durable.WriteFile, the temp file fsynced and the directory not. Only
+// the store's own state decides where a follower resumes (Reconcile),
+// so the cursor is a cross-check: its loss is never fatal, and write
+// errors surface but do not roll back applied blocks.
 func (f *Follower) saveCursor() error {
 	if f.CursorPath == "" {
 		return nil
 	}
-	data := EncodeCursor(f.Reconcile())
-	tmp := f.CursorPath + ".tmp"
-	fh, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("sync: cursor: %w", err)
-	}
-	if _, err := fh.Write(data); err != nil {
-		fh.Close()
-		return fmt.Errorf("sync: cursor: %w", err)
-	}
-	if err := fh.Sync(); err != nil {
-		fh.Close()
-		return fmt.Errorf("sync: cursor: %w", err)
-	}
-	if err := fh.Close(); err != nil {
-		return fmt.Errorf("sync: cursor: %w", err)
-	}
-	if err := os.Rename(tmp, f.CursorPath); err != nil {
+	if err := durable.WriteFile(f.CursorPath, true, durable.Bytes(EncodeCursor(f.Reconcile()))); err != nil {
 		return fmt.Errorf("sync: cursor: %w", err)
 	}
 	return nil
