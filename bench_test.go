@@ -257,6 +257,8 @@ func BenchmarkObservation8AVRankStabilization(b *testing.B) {
 
 // BenchmarkFigure10FlipRatioMatrix accumulates the per-(engine, type)
 // flip matrix (Figure 10).
+// Like the rank-corpus benchmarks, every iteration after the first
+// reads the Runner's memoised flip pass over dataset S.
 func BenchmarkFigure10FlipRatioMatrix(b *testing.B) {
 	r := benchRunner(b)
 	for i := 0; i < b.N; i++ {
@@ -270,6 +272,8 @@ func BenchmarkFigure10FlipRatioMatrix(b *testing.B) {
 
 // BenchmarkSection71LabelFlips runs the flip census including hazard
 // flips (§7.1.1).
+// Like the rank-corpus benchmarks, every iteration after the first
+// reads the Runner's memoised flip pass over dataset S.
 func BenchmarkSection71LabelFlips(b *testing.B) {
 	r := benchRunner(b)
 	for i := 0; i < b.N; i++ {
@@ -284,6 +288,8 @@ func BenchmarkSection71LabelFlips(b *testing.B) {
 
 // BenchmarkSection55FlipCauses measures update-coincident flips
 // (§5.5).
+// Like the rank-corpus benchmarks, every iteration after the first
+// reads the Runner's memoised flip pass over dataset S.
 func BenchmarkSection55FlipCauses(b *testing.B) {
 	r := benchRunner(b)
 	for i := 0; i < b.N; i++ {

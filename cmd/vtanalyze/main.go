@@ -6,7 +6,9 @@
 //	vtanalyze [flags] [experiment ...]
 //
 // With no experiment arguments every experiment runs in paper order.
-// Experiment names:
+// Every run simulates and collects its own data: table2 and storescan
+// share one collection into -store DIR, which must be empty, or into a
+// temp dir. Experiment names:
 //
 //	table1 table2 table3                      dataset & API semantics
 //	storescan                                 store-derived census (pushdown scan)
@@ -41,7 +43,7 @@ func main() {
 		service    = flag.Int("service", 8000, "workload size for the service/feed/store pipeline (Table 2)")
 		corrScans  = flag.Int("corr-scans", 40000, "scan rows for engine-correlation matrices")
 		workers    = flag.Int("workers", 0, "scan parallelism (0 = GOMAXPROCS)")
-		storeDir   = flag.String("store", "", "directory for the Table 2 store (default: temp dir)")
+		storeDir   = flag.String("store", "", "empty directory that Table 2 and storescan collect into (default: temp dir)")
 		csvDir     = flag.String("csv", "", "also export plot-ready CSV series into this directory")
 	)
 	flag.Parse()
@@ -57,6 +59,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+
+	// Table 2 and storescan account one collection into one directory.
+	dir, cleanup := *storeDir, func() {}
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "vtstore")
+		if err != nil {
+			fatal(err)
+		}
+		dir, cleanup = tmp, func() { os.RemoveAll(tmp) }
+	}
+	defer cleanup()
+	die := func(err error) { cleanup(); fatal(err) }
 
 	var csvTables []experiments.CSVTable
 	exportCSV := func(tables []experiments.CSVTable) {
@@ -75,15 +89,6 @@ func main() {
 			return nil
 		},
 		"table2": func() error {
-			dir := *storeDir
-			if dir == "" {
-				tmp, err := os.MkdirTemp("", "vtstore")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(tmp)
-				dir = tmp
-			}
 			res, err := runner.Table2DatasetOverview(dir)
 			if err != nil {
 				return err
@@ -92,15 +97,6 @@ func main() {
 			return nil
 		},
 		"storescan": func() error {
-			dir := *storeDir
-			if dir == "" {
-				tmp, err := os.MkdirTemp("", "vtstore")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(tmp)
-				dir = tmp
-			}
 			res, err := runner.StoreScanCensus(dir)
 			if err != nil {
 				return err
@@ -344,17 +340,17 @@ func main() {
 	for _, name := range selected {
 		f, ok := run[name]
 		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (known: %v)", name, order))
+			die(fmt.Errorf("unknown experiment %q (known: %v)", name, order))
 		}
 		fmt.Printf("=== %s (t=%.1fs) ===\n", name, time.Since(start).Seconds())
 		if err := f(); err != nil {
-			fatal(err)
+			die(err)
 		}
 		fmt.Println()
 	}
 	if *csvDir != "" && len(csvTables) > 0 {
 		if err := experiments.WriteCSVDir(*csvDir, csvTables); err != nil {
-			fatal(err)
+			die(err)
 		}
 		fmt.Printf("wrote %d CSV series to %s\n", len(csvTables), *csvDir)
 	}

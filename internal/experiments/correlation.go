@@ -7,6 +7,7 @@ import (
 
 	"vtdynamics/internal/core"
 	"vtdynamics/internal/ftypes"
+	"vtdynamics/internal/vtsim"
 )
 
 // --- Figure 11: strong engine correlations (overall) -------------------
@@ -36,7 +37,7 @@ func (r *Runner) buildMatrix(filter func(ft string) bool) (*core.VerdictMatrix, 
 		if filter != nil && !filter(s.FileType) {
 			continue
 		}
-		m.AddHistory(vtsimScan(r.set, s))
+		m.AddHistory(vtsim.ScanSample(r.set, s))
 		if m.Rows() >= r.cfg.CorrelationScans {
 			break
 		}

@@ -35,8 +35,8 @@ type Table2Result struct {
 }
 
 // Table2DatasetOverview drives the pipeline over a ServiceSize
-// workload. dir is the store directory (use t.TempDir() in tests or
-// an output path in cmd/vtanalyze).
+// workload. dir is the store directory: empty, or one this runner
+// already collected into (see runPipelineStore).
 func (r *Runner) Table2DatasetOverview(dir string) (*Table2Result, error) {
 	// The pipeline run is shared with StoreScanCensus (storescan.go);
 	// Table 2 only reads back the monthly accounting.

@@ -4,38 +4,54 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"vtdynamics/internal/core"
 	"vtdynamics/internal/ftypes"
 	"vtdynamics/internal/report"
 )
 
-// flipMatrixOverS runs one parallel pass over dataset S accumulating
-// the per-(engine, type) flip matrix.
-func (r *Runner) flipMatrixOverS() (*core.FlipMatrix, error) {
-	samples, err := r.DatasetS()
-	if err != nil {
+// flipPass is one pass over dataset S: the per-(engine, type) flip
+// matrix, plus the engine-scan entries it saw and how many of them
+// were Undetected.
+type flipPass struct {
+	m                   *core.FlipMatrix
+	entries, undetected int
+}
+
+// flipsOverS returns (cached) the flip pass over dataset S that
+// Fig. 10, §7.1 and §5.5 all read.
+func (r *Runner) flipsOverS() (*flipPass, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.flipsS != nil {
+		return r.flipsS, nil
+	}
+	if err := r.buildDatasetSLocked(); err != nil {
 		return nil, err
 	}
-	workers := r.cfg.Workers
-	mats := make([]*core.FlipMatrix, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		mats[w] = core.NewFlipMatrix()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(samples); i += workers {
-				mats[w].AddHistory(vtsimScan(r.set, samples[i]))
+	accs := make([]flipPass, r.cfg.Workers)
+	for w := range accs {
+		accs[w].m = core.NewFlipMatrix()
+	}
+	r.scanEach(r.dynSamples, func(w, _ int, h *report.History) {
+		a := &accs[w]
+		a.m.AddHistory(h)
+		for _, rep := range h.Reports {
+			a.entries += len(rep.Results)
+			for _, er := range rep.Results {
+				if er.Verdict == report.Undetected {
+					a.undetected++
+				}
 			}
-		}(w)
+		}
+	})
+	total := &accs[0]
+	for _, a := range accs[1:] {
+		total.m.Merge(a.m)
+		total.entries += a.entries
+		total.undetected += a.undetected
 	}
-	wg.Wait()
-	total := mats[0]
-	for _, m := range mats[1:] {
-		total.Merge(m)
-	}
+	r.flipsS = total
 	return total, nil
 }
 
@@ -65,10 +81,11 @@ type Figure10Result struct {
 // Figure10FlipRatios builds the flip matrix and extracts the
 // headline cells.
 func (r *Runner) Figure10FlipRatios() (*Figure10Result, error) {
-	m, err := r.flipMatrixOverS()
+	p, err := r.flipsOverS()
 	if err != nil {
 		return nil, err
 	}
+	m := p.m
 	res := &Figure10Result{Matrix: m}
 	res.ArcabitELF = m.Cell("Arcabit", ftypes.ELFExe).Ratio()
 	res.ArcabitDEX = m.Cell("Arcabit", ftypes.DEX).Ratio()
@@ -137,11 +154,11 @@ type Section71Result struct {
 
 // Section71Flips runs the census.
 func (r *Runner) Section71Flips() (*Section71Result, error) {
-	m, err := r.flipMatrixOverS()
+	p, err := r.flipsOverS()
 	if err != nil {
 		return nil, err
 	}
-	res := &Section71Result{Total: m.Total()}
+	res := &Section71Result{Total: p.m.Total()}
 	if res.Total.Flips() > 0 {
 		res.UpShare = float64(res.Total.Up) / float64(res.Total.Flips())
 	}
@@ -182,56 +199,22 @@ type Section55Result struct {
 }
 
 // Section55FlipCauses measures how many flips coincide with engine
-// signature updates, plus the prevalence of activity gaps.
+// signature updates, plus the prevalence of activity gaps. It reads
+// the shared flip pass, whose total equals core.CountFlips summed
+// over the roster: an absent engine's series is all Undetected, and
+// every dataset-S history has the ≥ 2 reports AddHistory requires.
 func (r *Runner) Section55FlipCauses() (*Section55Result, error) {
-	samples, err := r.DatasetS()
+	p, err := r.flipsOverS()
 	if err != nil {
 		return nil, err
 	}
-	type acc struct {
-		flips, coincident   int
-		entries, undetected int
-	}
-	workers := r.cfg.Workers
-	accs := make([]acc, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a := &accs[w]
-			for i := w; i < len(samples); i += workers {
-				h := vtsimScan(r.set, samples[i])
-				for _, rep := range h.Reports {
-					for _, er := range rep.Results {
-						a.entries++
-						if er.Verdict == report.Undetected {
-							a.undetected++
-						}
-					}
-				}
-				for _, name := range r.set.Names() {
-					fc := core.CountFlips(core.ExtractEngineSeries(h, name))
-					a.flips += fc.Flips()
-					a.coincident += fc.UpdateCoincident
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	res := &Section55Result{}
-	var entries, undetected int
-	for _, a := range accs {
-		res.Flips += a.flips
-		res.UpdateCoincident += a.coincident
-		entries += a.entries
-		undetected += a.undetected
-	}
+	total := p.m.Total()
+	res := &Section55Result{Flips: total.Flips(), UpdateCoincident: total.UpdateCoincident}
 	if res.Flips > 0 {
 		res.Share = float64(res.UpdateCoincident) / float64(res.Flips)
 	}
-	if entries > 0 {
-		res.UndetectedShare = float64(undetected) / float64(entries)
+	if p.entries > 0 {
+		res.UndetectedShare = float64(p.undetected) / float64(p.entries)
 	}
 	return res, nil
 }

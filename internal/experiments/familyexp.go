@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"vtdynamics/internal/family"
 	"vtdynamics/internal/report"
@@ -50,62 +49,52 @@ func (r *Runner) FamilyStability() (*FamilyStabilityResult, error) {
 		everChanged, binaryChanged int
 		supportSum, supportN       int
 	}
-	workers := r.cfg.Workers
-	accs := make([]acc, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a := &accs[w]
-			for i := w; i < len(samples); i += workers {
-				h := vtsimScan(r.set, samples[i])
-				a.samples++
-				var prev string
-				flips := 0
-				labeledAtLast := false
-				var lastSupport int
-				binPrev, binFlips := false, 0
-				for si, rep := range h.Reports {
-					var labels []string
-					for _, er := range rep.Results {
-						if er.Verdict == report.Malicious {
-							labels = append(labels, er.Label)
-						}
-					}
-					v, ok := family.Label(labels, minEngines)
-					if ok {
-						if prev != "" && v.Family != prev {
-							flips++
-						}
-						prev = v.Family
-						labeledAtLast = true
-						lastSupport = v.Engines
-					} else {
-						labeledAtLast = false
-					}
-					bin := rep.AVRank >= binaryThreshold
-					if si > 0 && bin != binPrev {
-						binFlips++
-					}
-					binPrev = bin
-				}
-				if labeledAtLast {
-					a.labeled++
-					a.familyFlips += flips
-					if flips > 0 {
-						a.everChanged++
-					}
-					if binFlips > 0 {
-						a.binaryChanged++
-					}
-					a.supportSum += lastSupport
-					a.supportN++
+	accs := make([]acc, r.cfg.Workers)
+	r.scanEach(samples, func(w, _ int, h *report.History) {
+		a := &accs[w]
+		a.samples++
+		var prev string
+		flips := 0
+		labeledAtLast := false
+		var lastSupport int
+		binPrev, binFlips := false, 0
+		for si, rep := range h.Reports {
+			var labels []string
+			for _, er := range rep.Results {
+				if er.Verdict == report.Malicious {
+					labels = append(labels, er.Label)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+			v, ok := family.Label(labels, minEngines)
+			if ok {
+				if prev != "" && v.Family != prev {
+					flips++
+				}
+				prev = v.Family
+				labeledAtLast = true
+				lastSupport = v.Engines
+			} else {
+				labeledAtLast = false
+			}
+			bin := rep.AVRank >= binaryThreshold
+			if si > 0 && bin != binPrev {
+				binFlips++
+			}
+			binPrev = bin
+		}
+		if labeledAtLast {
+			a.labeled++
+			a.familyFlips += flips
+			if flips > 0 {
+				a.everChanged++
+			}
+			if binFlips > 0 {
+				a.binaryChanged++
+			}
+			a.supportSum += lastSupport
+			a.supportN++
+		}
+	})
 
 	res := &FamilyStabilityResult{}
 	var labeled, flips, ever, bin, supSum, supN int

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"vtdynamics/internal/core"
+	"vtdynamics/internal/report"
 	"vtdynamics/internal/stats"
 )
 
@@ -33,20 +33,11 @@ func (r *Runner) EngineLatencyProfiles() (*EngineLatencyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := r.cfg.Workers
-	accs := make([]*core.LatencyAccumulator, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	accs := make([]*core.LatencyAccumulator, r.cfg.Workers)
+	for w := range accs {
 		accs[w] = core.NewLatencyAccumulator()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(samples); i += workers {
-				accs[w].AddHistory(vtsimScan(r.set, samples[i]))
-			}
-		}(w)
 	}
-	wg.Wait()
+	r.scanEach(samples, func(w, _ int, h *report.History) { accs[w].AddHistory(h) })
 	total := accs[0]
 	for _, a := range accs[1:] {
 		total.Merge(a)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"vtdynamics/internal/predict"
+	"vtdynamics/internal/report"
 	"vtdynamics/internal/sampleset"
 )
 
@@ -69,22 +69,9 @@ func (r *Runner) LabelPrediction() (*PredictionResult, error) {
 			samples = append(samples, s)
 		}
 		out := make([]predict.Example, len(samples))
-		workers := r.cfg.Workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(samples); i += workers {
-					h := vtsimScan(r.set, samples[i])
-					out[i] = predict.Example{
-						X: feat.Features(h.Reports[0]),
-						Y: samples[i].Malicious,
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
+		r.scanEach(samples, func(_, i int, h *report.History) {
+			out[i] = predict.Example{X: feat.Features(h.Reports[0]), Y: samples[i].Malicious}
+		})
 		return out, nil
 	}
 

@@ -24,6 +24,12 @@
 //	Figure12PerTypeGroups    Fig. 12 / Tables 4–8 per-type groups
 //	Section71Flips           §7.1.1    flip census incl. hazard flips
 //	Section55FlipCauses      §5.5      update-coincident flips
+//
+// Every pass over dataset S and over the multi-report corpus scans
+// through scanEach, the package's one worker pool. The Runner memoises
+// what several experiments share: the rank corpora, the one flip pass
+// over S that Fig. 10, §7.1 and §5.5 all read, and the collection into
+// each store directory that Table 2 and storescan both account.
 package experiments
 
 import (
@@ -34,17 +40,12 @@ import (
 
 	"vtdynamics/internal/core"
 	"vtdynamics/internal/engine"
+	"vtdynamics/internal/feed"
 	"vtdynamics/internal/report"
 	"vtdynamics/internal/sampleset"
 	"vtdynamics/internal/simclock"
 	"vtdynamics/internal/vtsim"
 )
-
-// vtsimScan is the per-sample scan entry point (aliased for brevity
-// in the hot loops below).
-func vtsimScan(set *engine.Set, s *sampleset.Sample) *report.History {
-	return vtsim.ScanSample(set, s)
-}
 
 // Config sizes the experiments. Zero values select defaults that run
 // the full suite in tens of seconds on a laptop.
@@ -110,6 +111,11 @@ type Runner struct {
 	multiCorpus []SampleSeries
 	// population caches the Table 3 / Figure 1 population.
 	population []*sampleset.Sample
+	// flipsS caches the one flip pass over dataset S.
+	flipsS *flipPass
+	// collected maps each store directory this runner collected into
+	// to the collector's stats.
+	collected map[string]feed.Stats
 }
 
 // SampleSeries pairs a sample's identity with its AV-Rank series.
@@ -128,7 +134,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{cfg: cfg, set: set}, nil
+	return &Runner{cfg: cfg, set: set, collected: map[string]feed.Stats{}}, nil
 }
 
 // Engines exposes the roster (used by correlation experiments and
@@ -246,26 +252,23 @@ func (r *Runner) MultiReportSamples() ([]*sampleset.Sample, error) {
 // MultiRankCorpus returns (cached) the rank series of the
 // multi-report corpus.
 func (r *Runner) MultiRankCorpus() ([]SampleSeries, error) {
-	r.mu.Lock()
-	if r.multiCorpus != nil {
-		defer r.mu.Unlock()
-		return r.multiCorpus, nil
-	}
-	r.mu.Unlock()
 	samples, err := r.MultiReportSamples()
 	if err != nil {
 		return nil, err
 	}
-	corpus := r.scanToSeries(samples)
 	r.mu.Lock()
-	r.multiCorpus = corpus
-	r.mu.Unlock()
-	return corpus, nil
+	defer r.mu.Unlock()
+	if r.multiCorpus == nil {
+		r.multiCorpus = r.scanToSeries(samples)
+	}
+	return r.multiCorpus, nil
 }
 
-// scanToSeries scans samples in parallel into rank series.
-func (r *Runner) scanToSeries(samples []*sampleset.Sample) []SampleSeries {
-	corpus := make([]SampleSeries, len(samples))
+// scanEach is the one scan pool: goroutine w of cfg.Workers scans
+// samples w, w+Workers, … and passes each history to add with w and
+// the sample index. Callers keep one accumulator per worker and merge
+// them in worker order, so results never depend on scheduling.
+func (r *Runner) scanEach(samples []*sampleset.Sample, add func(w, i int, h *report.History)) {
 	workers := r.cfg.Workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -273,18 +276,20 @@ func (r *Runner) scanToSeries(samples []*sampleset.Sample) []SampleSeries {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(samples); i += workers {
-				s := samples[i]
-				h := vtsimScan(r.set, s)
-				corpus[i] = SampleSeries{
-					SHA256:   s.SHA256,
-					FileType: s.FileType,
-					Fresh:    s.Fresh,
-					Series:   core.FromHistory(h),
-				}
+				add(w, i, vtsim.ScanSample(r.set, samples[i]))
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// scanToSeries scans samples in parallel into rank series.
+func (r *Runner) scanToSeries(samples []*sampleset.Sample) []SampleSeries {
+	corpus := make([]SampleSeries, len(samples))
+	r.scanEach(samples, func(_, i int, h *report.History) {
+		s := samples[i]
+		corpus[i] = SampleSeries{SHA256: s.SHA256, FileType: s.FileType, Fresh: s.Fresh, Series: core.FromHistory(h)}
+	})
 	return corpus
 }
 
@@ -292,18 +297,7 @@ func (r *Runner) scanToSeries(samples []*sampleset.Sample) []SampleSeries {
 // each resulting history. fn must be safe for concurrent use (use
 // per-worker accumulators and merge, or lock).
 func (r *Runner) ForEachHistory(samples []*sampleset.Sample, fn func(*sampleset.Sample, *report.History)) {
-	workers := r.cfg.Workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(samples); i += workers {
-				fn(samples[i], vtsimScan(r.set, samples[i]))
-			}
-		}(w)
-	}
-	wg.Wait()
+	r.scanEach(samples, func(_, i int, h *report.History) { fn(samples[i], h) })
 }
 
 // RankCorpus returns (cached) the rank series for every dataset-S

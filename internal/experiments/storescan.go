@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -43,9 +45,21 @@ type StoreScanResult struct {
 }
 
 // runPipelineStore replays the ServiceSize workload through the
-// feed→collector→store pipeline into dir — the same store Table 2
-// accounts — and returns the collector stats.
+// feed→collector→store pipeline into dir — the one store Table 2 and
+// StoreScanCensus both account — and returns the collector stats. It
+// collects into each directory once per runner: a second call on the
+// same dir returns the first call's stats, and a non-empty dir this
+// runner did not collect into is an error rather than a second copy.
 func (r *Runner) runPipelineStore(dir string) (feed.Stats, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	dir = filepath.Clean(dir)
+	if fstats, ok := r.collected[dir]; ok {
+		return fstats, nil
+	}
+	if ents, err := os.ReadDir(dir); err == nil && len(ents) > 0 {
+		return feed.Stats{}, fmt.Errorf("experiments: store dir %s is not empty and was not collected by this runner", dir)
+	}
 	samples, err := sampleset.Generate(sampleset.Config{
 		Seed:       r.cfg.Seed + 4,
 		NumSamples: r.cfg.ServiceSize,
@@ -81,11 +95,16 @@ func (r *Runner) runPipelineStore(dir string) (feed.Stats, error) {
 		st.Close()
 		return feed.Stats{}, err
 	}
-	return fstats, st.Close()
+	if err := st.Close(); err != nil {
+		return feed.Stats{}, err
+	}
+	r.collected[dir] = fstats
+	return fstats, nil
 }
 
-// StoreScanCensus collects the pipeline store into dir and derives
-// the dynamics census from it through store.Scan.
+// StoreScanCensus collects the pipeline store into dir (unless this
+// runner already has) and derives the dynamics census from it through
+// store.Scan.
 func (r *Runner) StoreScanCensus(dir string) (*StoreScanResult, error) {
 	fstats, err := r.runPipelineStore(dir)
 	if err != nil {

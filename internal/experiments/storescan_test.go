@@ -55,3 +55,39 @@ func TestStoreScanCensus(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreCollectedOnce pins that Table 2 and storescan account one
+// collection: on one runner both read the same dir and report the
+// collector's envelope count, and another runner refuses that
+// non-empty dir instead of collecting a second copy into it.
+func TestStoreCollectedOnce(t *testing.T) {
+	cfg := Config{Seed: 7, PopulationSize: 1, DynamicsSize: 1, ServiceSize: 300, CorrelationScans: 1}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	t2, err := r.Table2DatasetOverview(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	census, err := r.StoreScanCensus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := t2.FeedStats.Envelopes
+	if n == 0 || t2.TotalReports != n || census.Rows != int64(n) {
+		t.Fatalf("envelopes %d, Table 2 reports %d, census rows %d: want all equal and > 0",
+			n, t2.TotalReports, census.Rows)
+	}
+	other, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Table2DatasetOverview(dir); err == nil {
+		t.Fatal("a second runner collected into a non-empty store dir")
+	}
+	if _, err := other.StoreScanCensus(dir); err == nil {
+		t.Fatal("a second runner's census collected into a non-empty store dir")
+	}
+}

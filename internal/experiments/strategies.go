@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"vtdynamics/internal/labeling"
+	"vtdynamics/internal/report"
 )
 
 // §3.1 surveys how researchers collapse 70+ verdicts into one label:
@@ -70,37 +70,27 @@ func (r *Runner) StrategyStability() (*StrategyStabilityResult, error) {
 		flips, everFlipped, malicious []int
 		samples                       int
 	}
-	workers := r.cfg.Workers
-	accs := make([]acc, workers)
+	accs := make([]acc, r.cfg.Workers)
 	for w := range accs {
 		accs[w].flips = make([]int, len(aggs))
 		accs[w].everFlipped = make([]int, len(aggs))
 		accs[w].malicious = make([]int, len(aggs))
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a := &accs[w]
-			for i := w; i < len(samples); i += workers {
-				h := vtsimScan(r.set, samples[i])
-				a.samples++
-				for j, agg := range aggs {
-					labels := labeling.LabelHistory(agg, h)
-					f := labeling.Flips(labels)
-					a.flips[j] += f
-					if f > 0 {
-						a.everFlipped[j]++
-					}
-					if len(labels) > 0 && labels[len(labels)-1] {
-						a.malicious[j]++
-					}
-				}
+	r.scanEach(samples, func(w, _ int, h *report.History) {
+		a := &accs[w]
+		a.samples++
+		for j, agg := range aggs {
+			labels := labeling.LabelHistory(agg, h)
+			f := labeling.Flips(labels)
+			a.flips[j] += f
+			if f > 0 {
+				a.everFlipped[j]++
 			}
-		}(w)
-	}
-	wg.Wait()
+			if len(labels) > 0 && labels[len(labels)-1] {
+				a.malicious[j]++
+			}
+		}
+	})
 
 	res := &StrategyStabilityResult{}
 	totalFlips := make([]int, len(aggs))
